@@ -5,15 +5,17 @@
 //! `repl-worlds`. Mutations are refused — a follower's worlds change
 //! only by replaying the primary's log, never by taking writes, or the
 //! two would diverge. `shutdown` stops the whole follower cleanly.
+//! Reads go through [`script::query`], the primary's own read path, so
+//! a caught-up follower answers byte for byte as the primary does.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use troll_runtime::script;
+use troll_runtime::script::{self, Query};
 use troll_serve::proto::{Request, Response, MAX_LINE};
 
 use crate::follower::FollowerShared;
@@ -59,13 +61,16 @@ fn serve_conn(stream: TcpStream, shared: &Arc<FollowerShared>) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(READ_TICK));
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    // survives read timeouts: a request split by a pause is completed by
+    // the next read, never answered in halves
+    let mut line = Vec::new();
     loop {
         if shared.stop.load(Ordering::SeqCst) {
             return;
         }
-        line.clear();
-        match reader.read_line(&mut line) {
+        // never buffer more than one over-long line's worth
+        let room = (MAX_LINE + 1 - line.len()) as u64;
+        match reader.by_ref().take(room).read_until(b'\n', &mut line) {
             Ok(0) => return,
             Ok(_) => {}
             Err(e)
@@ -76,11 +81,19 @@ fn serve_conn(stream: TcpStream, shared: &Arc<FollowerShared>) {
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => return,
         }
-        if line.len() > MAX_LINE {
-            return;
+        if line.last() != Some(&b'\n') {
+            if line.len() > MAX_LINE {
+                return; // not a protocol request; cut the peer off
+            }
+            continue;
         }
-        let resp = answer(shared, line.trim_end());
-        let shutdown = matches!(Request::parse(line.trim_end()), Ok(Request::Shutdown));
+        let req = Request::parse(String::from_utf8_lossy(&line).trim_end());
+        line.clear();
+        let shutdown = matches!(req, Ok(Request::Shutdown));
+        let resp = match req {
+            Ok(req) => answer(shared, req),
+            Err(e) => Response::Err(e),
+        };
         let mut out = resp.to_json();
         out.push('\n');
         if reader.get_mut().write_all(out.as_bytes()).is_err() {
@@ -93,18 +106,23 @@ fn serve_conn(stream: TcpStream, shared: &Arc<FollowerShared>) {
     }
 }
 
-fn answer(shared: &Arc<FollowerShared>, line: &str) -> Response {
-    let req = match Request::parse(line) {
-        Ok(req) => req,
-        Err(e) => return Response::Err(e),
-    };
+fn answer(shared: &Arc<FollowerShared>, req: Request) -> Response {
     match req {
-        Request::QueryAttr { world, id, attr } => {
-            world_command(shared, &world, &format!("show {id} {attr}"))
-        }
-        Request::QueryView { world, interface } => {
-            world_command(shared, &world, &format!("view {interface}"))
-        }
+        Request::QueryAttr { world, id, attr } => world_query(
+            shared,
+            &world,
+            Query::Attr {
+                id: &id,
+                attribute: &attr,
+            },
+        ),
+        Request::QueryView { world, interface } => world_query(
+            shared,
+            &world,
+            Query::View {
+                interface: &interface,
+            },
+        ),
         Request::Stats { world: None } => Response::Ok(format!(
             "follower worlds={} records_applied={} snapshots_installed={} polls={}",
             shared.c.worlds.get(),
@@ -149,12 +167,13 @@ fn lookup(
     shared.worlds.lock().expect("worlds").get(world).cloned()
 }
 
-fn world_command(shared: &Arc<FollowerShared>, world: &str, line: &str) -> Response {
+/// Answers a read through [`script::query`], the primary's read path.
+fn world_query(shared: &Arc<FollowerShared>, world: &str, query: Query<'_>) -> Response {
     let Some(slot) = lookup(shared, world) else {
         return Response::Err(format!("world `{world}` is not open"));
     };
-    let mut slot = slot.lock().expect("world slot");
-    match script::run_command(&mut slot.base, line) {
+    let slot = slot.lock().expect("world slot");
+    match script::query(&slot.base, query) {
         Ok(outcome) => Response::Ok(outcome.to_string()),
         Err(e) => Response::Err(e),
     }

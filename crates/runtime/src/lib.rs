@@ -93,7 +93,7 @@ pub use error::RuntimeError;
 pub use instance::Instance;
 pub use monitor_cache::MonitorCacheStats;
 pub use persist::{InstanceDump, RoleDump, StepSink};
-pub use shard::{BatchEvent, SpeculatedStep, WorldShards};
+pub use shard::{BatchEvent, WorldShards};
 pub use views::{JoinStrategy, ViewRow, ViewSet};
 
 // Observability surface (see `troll_obs`): the runtime re-exports the

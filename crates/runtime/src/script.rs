@@ -174,36 +174,6 @@ pub fn run_script_sharded(ws: &mut WorldShards, script: &str) -> Result<Vec<Outc
     Ok(outcomes)
 }
 
-/// Parses a `birth`/`exec` script line into its batch event plus, for
-/// births, the identity its outcome reports — the speculable subset of
-/// the command language. Returns `None` for any other command (run
-/// those via [`run_command`]), `Some(Err)` for a birth/exec-shaped
-/// line with a malformed term.
-///
-/// # Errors
-///
-/// Inside the `Some`: a parse failure message for the offending term.
-pub fn parse_event_line(line: &str) -> Option<Result<(BatchEvent, Option<ObjectId>), String>> {
-    let tokens = split_top_level(line);
-    match tokens.first().map(String::as_str) {
-        Some("birth") if tokens.len() == 5 => Some((|| {
-            let key = parse_term_list(&tokens[2])?;
-            let args = parse_term_list(&tokens[4])?;
-            let id = ObjectId::new(tokens[1].clone(), key);
-            Ok((
-                BatchEvent::new(id.clone(), tokens[3].clone(), args),
-                Some(id),
-            ))
-        })()),
-        Some("exec") if tokens.len() == 4 => Some((|| {
-            let id = parse_identity(&tokens[1])?;
-            let args = parse_term_list(&tokens[3])?;
-            Ok((BatchEvent::new(id, tokens[2].clone(), args), None))
-        })()),
-        _ => None,
-    }
-}
-
 /// Runs a single script command.
 ///
 /// # Errors
@@ -228,33 +198,19 @@ pub fn run_command(ob: &mut ObjectBase, line: &str) -> Result<Outcome, String> {
                 .map_err(|e| e.to_string())?;
             Ok(Outcome::Executed(report.occurrences.len()))
         }
-        Some("show") if tokens.len() == 3 => {
-            let id = parse_identity(&tokens[1])?;
-            let value = ob.attribute(&id, &tokens[2]).map_err(|e| e.to_string())?;
-            Ok(Outcome::Observation {
-                id,
-                attribute: tokens[2].clone(),
-                value,
-            })
-        }
-        Some("view") if tokens.len() == 2 => {
-            let v = ob.view(&tokens[1]).map_err(|e| e.to_string())?;
-            let rows = v
-                .rows
-                .iter()
-                .map(|row| {
-                    row.attributes
-                        .iter()
-                        .map(|(k, val)| format!("{k} = {val}"))
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                })
-                .collect();
-            Ok(Outcome::View {
-                interface: tokens[1].clone(),
-                rows,
-            })
-        }
+        Some("show") if tokens.len() == 3 => query(
+            ob,
+            Query::Attr {
+                id: &tokens[1],
+                attribute: &tokens[2],
+            },
+        ),
+        Some("view") if tokens.len() == 2 => query(
+            ob,
+            Query::View {
+                interface: &tokens[1],
+            },
+        ),
         Some("call") if tokens.len() == 5 => {
             let interface = tokens[1].clone();
             let id = parse_identity(&tokens[2])?;
@@ -284,6 +240,64 @@ pub fn run_command(ob: &mut ObjectBase, line: &str) -> Result<Outcome, String> {
             Ok(Outcome::Ticked(reports.len()))
         }
         _ => Err(format!("unrecognized command `{line}`")),
+    }
+}
+
+/// A read of a world: the `show`/`view` half of the command language.
+/// Reads are views in the paper's sense (§5.1) — they observe and never
+/// step the world, so they need only `&ObjectBase`.
+#[derive(Debug, Clone, Copy)]
+pub enum Query<'a> {
+    /// `show` — one attribute of one instance.
+    Attr {
+        /// Identity literal, e.g. `|DEPT|("Toys")`.
+        id: &'a str,
+        /// Attribute name.
+        attribute: &'a str,
+    },
+    /// `view` — the rows of one interface.
+    View {
+        /// Interface name.
+        interface: &'a str,
+    },
+}
+
+/// Answers a [`Query`] against a shared world: the one read path behind
+/// [`run_command`]'s `show`/`view`, the server's `query-attr` /
+/// `query-view` and the follower's read-only port.
+///
+/// # Errors
+///
+/// Returns a human-readable message on parse or lookup failure.
+pub fn query(ob: &ObjectBase, query: Query<'_>) -> Result<Outcome, String> {
+    match query {
+        Query::Attr { id, attribute } => {
+            let id = parse_identity(id)?;
+            let value = ob.attribute(&id, attribute).map_err(|e| e.to_string())?;
+            Ok(Outcome::Observation {
+                id,
+                attribute: attribute.to_string(),
+                value,
+            })
+        }
+        Query::View { interface } => {
+            let v = ob.view(interface).map_err(|e| e.to_string())?;
+            let rows = v
+                .rows
+                .iter()
+                .map(|row| {
+                    row.attributes
+                        .iter()
+                        .map(|(k, val)| format!("{k} = {val}"))
+                        .collect::<Vec<_>>()
+                        .join(", ")
+                })
+                .collect();
+            Ok(Outcome::View {
+                interface: interface.to_string(),
+                rows,
+            })
+        }
     }
 }
 

@@ -439,109 +439,6 @@ fn speculate(base: &ObjectBase, ev: &BatchEvent) -> Speculation {
     }
 }
 
-/// A step prepared under `&self` against a frozen world, carrying its
-/// read set — the cross-world analogue of the batch speculation inside
-/// [`WorldShards::run_batch`]. A server hosting many worlds speculates
-/// submissions concurrently (shared references, across worlds and
-/// within one world) and serializes only [`ObjectBase::commit_speculation`]
-/// per world.
-#[derive(Debug)]
-pub struct SpeculatedStep {
-    ev: BatchEvent,
-    outcome: Result<PreparedStep>,
-    reads: ReadSet,
-    /// The world's attempt counter at speculation time — unchanged
-    /// means nothing committed (or even tried) in between, the common
-    /// case under per-world commit serialization.
-    attempts_at: u64,
-}
-
-impl SpeculatedStep {
-    /// The submitted event this speculation prepared.
-    pub fn event(&self) -> &BatchEvent {
-        &self.ev
-    }
-
-    /// Whether preparation succeeded (a refusal is still a committable
-    /// deterministic outcome — it rolls back on commit).
-    pub fn is_ok(&self) -> bool {
-        self.outcome.is_ok()
-    }
-}
-
-impl ObjectBase {
-    /// Prepares one event against the current world under `&self`,
-    /// recording everything it read. Safe to run concurrently with
-    /// other speculations on this world (and any work on other worlds);
-    /// pair with [`ObjectBase::commit_speculation`] under `&mut self`.
-    pub fn speculate(
-        &self,
-        id: ObjectId,
-        event: impl Into<String>,
-        args: Vec<Value>,
-    ) -> SpeculatedStep {
-        let ev = BatchEvent::new(id, event.into(), args);
-        let attempts_at = self.step_attempts();
-        let spec = speculate(self, &ev);
-        SpeculatedStep {
-            ev,
-            outcome: spec.outcome,
-            reads: spec.reads,
-            attempts_at,
-        }
-    }
-
-    /// Commits a [`SpeculatedStep`]. If the world has not moved since
-    /// the speculation, the prepared step commits verbatim. If it has
-    /// (another submission to the same world won the race), the read
-    /// set is revalidated against the current world — population reads
-    /// are conservatively treated as stale, target marks and state
-    /// roots are rechecked, and every write must be covered by a
-    /// checked target — and on any doubt the event re-executes
-    /// sequentially. Returns the step result plus whether a conflict
-    /// forced re-execution; either way the outcome equals what a
-    /// sequential [`ObjectBase::execute`] at this point would produce.
-    pub fn commit_speculation(&mut self, spec: SpeculatedStep) -> (Result<StepReport>, bool) {
-        let valid = self.step_attempts() == spec.attempts_at || {
-            spec.reads.populations.is_empty()
-                && spec
-                    .reads
-                    .targets
-                    .iter()
-                    .all(|(id, mark)| match (mark, self.instance(id)) {
-                        (Some(m), Some(inst)) => m.matches(inst),
-                        (None, None) => true,
-                        _ => false,
-                    })
-                && spec.reads.states.iter().all(|(id, observed)| {
-                    match (observed, self.instance(id)) {
-                        (Some(o), Some(inst)) => o.ptr_eq(&inst.state),
-                        (None, None) => true,
-                        _ => false,
-                    }
-                })
-                && match &spec.outcome {
-                    Ok(prepared) => prepared
-                        .write_ids()
-                        .all(|id| spec.reads.targets.contains_key(id)),
-                    Err(_) => true,
-                }
-        };
-        if valid {
-            match spec.outcome {
-                Ok(prepared) => (Ok(self.commit_speculated(prepared)), false),
-                Err(error) => {
-                    self.record_speculated_rollback(&error);
-                    (Err(error), false)
-                }
-            }
-        } else {
-            let SpeculatedStep { ev, .. } = spec;
-            (self.execute(&ev.id, &ev.event, ev.args), true)
-        }
-    }
-}
-
 /// The event's kind in its context class, if the model knows it.
 fn lifecycle_kind(
     model: &troll_lang::SystemModel,

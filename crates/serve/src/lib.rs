@@ -4,9 +4,11 @@
 //! dependencies — see [`poll`]) speaking a newline-delimited JSON
 //! protocol ([`proto`]): `open`, `submit-event`, `query-attr`,
 //! `query-view`, `stats`, `shutdown`. A registry maps world ids to
-//! engines; submissions multiplex onto a worker pool that *speculates*
-//! steps via [`troll_runtime::ObjectBase::speculate`] and serializes
-//! only the commit per world ([`server`]). With `--durable`, every
+//! engines; submissions multiplex onto a worker pool that runs each
+//! world's requests in arrival order on one worker at a time
+//! ([`server`]): script lines step the world through
+//! [`troll_runtime::script::run_command`], queries read it through
+//! [`troll_runtime::script::query`]. With `--durable`, every
 //! world gets its own [`troll_store`] directory (WAL + snapshots) and
 //! recovers on reopen.
 //!

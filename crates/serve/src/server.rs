@@ -8,10 +8,12 @@
 //! at a time — submissions to *different* worlds run concurrently,
 //! submissions to the *same* world keep their arrival order (which is
 //! what makes a served world byte-equal to a sequential `animate` run
-//! of the same lines). Within a job the worker speculates the step
-//! under the world's read lock ([`ObjectBase::speculate`]) and takes
-//! the write lock only to commit — the cross-world lift of the
-//! [`troll_runtime::WorldShards`] speculation/commit split.
+//! of the same lines). A `submit-event` line runs through
+//! [`script::run_command`] under the world's write lock — the one step
+//! path `animate` takes; `query-attr`/`query-view` are answered under
+//! the read lock by [`script::query`], the typed read the follower's
+//! read-only port shares. Worlds keep the monitor cache off (see
+//! `build_world`).
 //!
 //! Responses flow back to the loop thread over a completion list plus
 //! a socketpair waker byte; per-connection sequence numbers reassemble
@@ -33,8 +35,8 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
 use troll_obs::{Counter, Histogram, HistogramSummary, Metrics};
-use troll_runtime::script::{self, Outcome};
-use troll_runtime::{BatchEvent, ObjectBase, SharedModel};
+use troll_runtime::script::{self, Query};
+use troll_runtime::{ObjectBase, SharedModel};
 use troll_store::{open_world, DurableSink, FsyncPolicy, Store, StoreOptions};
 
 const TOKEN_LISTENER: u64 = 0;
@@ -99,9 +101,11 @@ pub struct ServeSummary {
     pub requests: u64,
     /// `submit-event` requests.
     pub events: u64,
-    /// Steps committed.
+    /// Steps committed by `submit-event` lines.
     pub commits: u64,
-    /// Speculations that had to re-execute sequentially.
+    /// Always 0: each world steps on one worker at a time, so there is
+    /// no speculation to conflict. Kept for the `serve.conflicts` metric
+    /// and for callers that read the field.
     pub conflicts: u64,
     /// Error responses sent.
     pub errors: u64,
@@ -116,6 +120,7 @@ struct ServeCounters {
     requests: Counter,
     events: Counter,
     commits: Counter,
+    /// Never incremented (see [`ServeSummary::conflicts`]).
     conflicts: Counter,
     errors: Counter,
     worlds: Counter,
@@ -128,6 +133,8 @@ struct ServeCounters {
     /// `repl-poll` requests served.
     repl_polls: Counter,
     request_latency: Histogram,
+    /// The whole write-locked `run_command` of each request that
+    /// committed at least one step.
     commit_latency: Histogram,
 }
 
@@ -923,10 +930,23 @@ fn process(shared: &Shared, entry: &WorldEntry, req: Request) -> Processed {
             Response::Ok(format!("opened {}", entry.name)).into()
         }
         Request::SubmitEvent { line, .. } => submit(shared, entry, &line),
-        Request::QueryAttr { id, attr, .. } => command(shared, entry, &format!("show {id} {attr}")),
-        Request::QueryView { interface, .. } => {
-            command(shared, entry, &format!("view {interface}"))
-        }
+        Request::QueryAttr { id, attr, .. } => query(
+            shared,
+            entry,
+            Query::Attr {
+                id: &id,
+                attribute: &attr,
+            },
+        )
+        .into(),
+        Request::QueryView { interface, .. } => query(
+            shared,
+            entry,
+            Query::View {
+                interface: &interface,
+            },
+        )
+        .into(),
         Request::Stats { .. } => {
             let slot = entry.world.read().expect("world lock");
             match slot.as_ref() {
@@ -1012,9 +1032,29 @@ fn repl_poll(shared: &Shared, entry: &WorldEntry, from: u64) -> Response {
     }
 }
 
-/// Runs one `submit-event` line: `birth`/`exec` lines speculate under
-/// the read lock and commit under the write lock; every other script
-/// command runs under the write lock directly.
+/// Answers a `query-attr`/`query-view` under the world's read lock
+/// through [`script::query`], the read path `animate`'s `show`/`view`
+/// and the follower's read-only port share. Reads still wait their turn
+/// in the world's FIFO queue, so they observe every earlier submission.
+fn query(shared: &Shared, entry: &WorldEntry, query: Query<'_>) -> Response {
+    let slot = entry.world.read().expect("world lock");
+    let Some(state) = slot.as_ref() else {
+        return not_open(shared, &entry.name);
+    };
+    match script::query(&state.base, query) {
+        Ok(outcome) => Response::Ok(outcome.to_string()),
+        Err(e) => {
+            shared.c.errors.inc();
+            Response::Err(e)
+        }
+    }
+}
+
+/// Runs one `submit-event` line through [`script::run_command`] under
+/// the world's write lock — the step path `troll animate` takes. Any
+/// command may commit steps (`birth`, `exec`, `call`, `tick`), so under
+/// group commit a success ack defers whenever the WAL cursor moved: it
+/// waits for the fsync covering the last record the command appended.
 fn submit(shared: &Shared, entry: &WorldEntry, raw: &str) -> Processed {
     shared.c.events.inc();
     let line = raw.split("--").next().unwrap_or("").trim();
@@ -1022,103 +1062,43 @@ fn submit(shared: &Shared, entry: &WorldEntry, raw: &str) -> Processed {
         shared.c.errors.inc();
         return Response::Err("empty script line".to_string()).into();
     }
-    match script::parse_event_line(line) {
-        Some(Ok((ev, born))) => {
-            let BatchEvent { id, event, args } = ev;
-            let spec = {
-                let slot = entry.world.read().expect("world lock");
-                let Some(state) = slot.as_ref() else {
-                    return not_open(shared, &entry.name).into();
-                };
-                state.base.speculate(id, event, args)
-            };
-            let t0 = Instant::now();
-            let mut slot = entry.world.write().expect("world lock");
-            let Some(state) = slot.as_mut() else {
-                return not_open(shared, &entry.name).into();
-            };
-            let (result, conflict) = state.base.commit_speculation(spec);
-            shared
-                .c
-                .commit_latency
-                .record_ns(t0.elapsed().as_nanos() as u64);
-            if conflict {
-                shared.c.conflicts.inc();
-            }
-            match result {
-                Ok(report) => {
-                    shared.c.commits.inc();
-                    let outcome = match born {
-                        Some(id) => Outcome::Born(id),
-                        None => Outcome::Executed(report.occurrences.len()),
-                    };
-                    // under group commit the success ack must wait for
-                    // the fsync covering the record just appended (the
-                    // world write lock is still held, so next_seq - 1
-                    // is that record)
-                    let defer = match (&shared.group, &state.store) {
-                        (Some(_), Some(store)) => {
-                            let step_seq = {
-                                let guard = store.lock().expect("store lock");
-                                guard.next_seq().saturating_sub(1)
-                            };
-                            Some((Arc::clone(store), step_seq))
-                        }
-                        _ => None,
-                    };
-                    Processed {
-                        resp: Response::Ok(outcome.to_string()),
-                        defer,
-                    }
+    let mut slot = entry.world.write().expect("world lock");
+    let Some(state) = slot.as_mut() else {
+        return not_open(shared, &entry.name).into();
+    };
+    let wal_before = match (&shared.group, &state.store) {
+        (Some(_), Some(store)) => Some(store.lock().expect("store lock").next_seq()),
+        _ => None,
+    };
+    let steps_before = state.base.steps_executed();
+    let t0 = Instant::now();
+    let result = script::run_command(&mut state.base, line);
+    let committed = state.base.steps_executed() - steps_before;
+    if committed > 0 {
+        shared
+            .c
+            .commit_latency
+            .record_ns(t0.elapsed().as_nanos() as u64);
+        shared.c.commits.add(committed as u64);
+    }
+    match result {
+        Ok(outcome) => {
+            let defer = match (wal_before, &state.store) {
+                (Some(before), Some(store)) => {
+                    let after = store.lock().expect("store lock").next_seq();
+                    (after > before).then(|| (Arc::clone(store), after - 1))
                 }
-                Err(e) => {
-                    shared.c.errors.inc();
-                    Response::Err(e.to_string()).into()
-                }
+                _ => None,
+            };
+            Processed {
+                resp: Response::Ok(outcome.to_string()),
+                defer,
             }
         }
-        Some(Err(e)) => {
+        Err(e) => {
             shared.c.errors.inc();
             Response::Err(e).into()
         }
-        None => command(shared, entry, line),
-    }
-}
-
-/// Runs a non-event script command (`show`, `view`, `call`, …) under
-/// the world's write lock. Commands can commit steps too (`call`,
-/// `tick`), so under group commit their success acks defer exactly
-/// like speculated events: the WAL cursor tells us whether the
-/// command appended anything.
-fn command(shared: &Shared, entry: &WorldEntry, line: &str) -> Processed {
-    let mut slot = entry.world.write().expect("world lock");
-    match slot.as_mut() {
-        Some(state) => {
-            let before = match (&shared.group, &state.store) {
-                (Some(_), Some(store)) => Some(store.lock().expect("store lock").next_seq()),
-                _ => None,
-            };
-            match script::run_command(&mut state.base, line) {
-                Ok(outcome) => {
-                    let defer = match (before, &state.store) {
-                        (Some(before), Some(store)) => {
-                            let after = store.lock().expect("store lock").next_seq();
-                            (after > before).then(|| (Arc::clone(store), after - 1))
-                        }
-                        _ => None,
-                    };
-                    Processed {
-                        resp: Response::Ok(outcome.to_string()),
-                        defer,
-                    }
-                }
-                Err(e) => {
-                    shared.c.errors.inc();
-                    Response::Err(e).into()
-                }
-            }
-        }
-        None => not_open(shared, &entry.name).into(),
     }
 }
 
@@ -1280,14 +1260,20 @@ fn built_worlds(shared: &Shared) -> String {
     names.join(" ")
 }
 
-/// Spawns (in-memory) or opens/recovers (durable) one world.
+/// Spawns (in-memory) or opens/recovers (durable) one world, with the
+/// monitor cache off: every permission check takes the history-scan
+/// path, which answers identically (the cache's safety argument). On
+/// the served workloads the per-world cache costs more than it saves:
+/// with it on, `serve_churn` stepped about a fifth slower and both
+/// served workloads held about a tenth more resident memory (DESIGN
+/// §4j has the numbers).
 fn build_world(shared: &Shared, name: &str) -> Result<WorldState, String> {
-    match &shared.durable {
+    let mut state = match &shared.durable {
         None => shared
             .model
             .spawn()
             .map(|base| WorldState { base, store: None })
-            .map_err(|e| e.to_string()),
+            .map_err(|e| e.to_string())?,
         Some(root) => {
             let dir = root.join("worlds").join(name);
             let (mut base, store, _info) =
@@ -1295,12 +1281,14 @@ fn build_world(shared: &Shared, name: &str) -> Result<WorldState, String> {
                     .map_err(|e| e.to_string())?;
             let (sink, store) = DurableSink::new(store);
             base.set_step_sink(Box::new(sink));
-            Ok(WorldState {
+            WorldState {
                 base,
                 store: Some(store),
-            })
+            }
         }
-    }
+    };
+    state.base.set_monitor_cache_enabled(false);
+    Ok(state)
 }
 
 fn global_stats(shared: &Shared) -> String {

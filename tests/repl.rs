@@ -6,7 +6,7 @@
 //! `--durable` root for a fresh primary).
 
 use std::fs;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -18,6 +18,10 @@ use troll::store::{open_world, recover, world_dump, FsyncPolicy, StoreOptions};
 #[path = "workloads.rs"]
 mod workloads;
 use workloads::workload;
+
+#[path = "dept_queries.rs"]
+mod dept_queries;
+use dept_queries::queries;
 
 fn scratch(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
@@ -42,14 +46,18 @@ impl Client {
         }
     }
 
-    fn round_trip(&mut self, req: &Request) -> Response {
-        self.writer
-            .write_all(format!("{}\n", req.to_json()).as_bytes())
-            .expect("send");
+    fn recv(&mut self) -> Response {
         let mut line = String::new();
         let n = self.reader.read_line(&mut line).expect("recv");
         assert!(n > 0, "server closed the connection");
         Response::parse(line.trim_end()).expect("well-formed response")
+    }
+
+    fn round_trip(&mut self, req: &Request) -> Response {
+        self.writer
+            .write_all(format!("{}\n", req.to_json()).as_bytes())
+            .expect("send");
+        self.recv()
     }
 
     fn shutdown(&mut self) {
@@ -234,7 +242,9 @@ fn compacted_primary_ships_a_snapshot() {
 }
 
 /// While tailing, the follower answers reads on its `--listen` port
-/// with exactly the primary's answers and refuses every mutation.
+/// with exactly the primary's answers and refuses every mutation. A
+/// request split by a pause longer than the port's idle tick is
+/// answered whole, and an over-long line drops only its connection.
 #[test]
 fn follower_serves_reads_and_refuses_writes() {
     let (spec, script) = workload("dept");
@@ -298,6 +308,29 @@ fn follower_serves_reads_and_refuses_writes() {
         assert!(Instant::now() < deadline, "follower never caught up");
         std::thread::sleep(Duration::from_millis(10));
     }
+
+    // both sides answer through the same query path, failures included
+    for (read, line) in queries("w") {
+        assert_eq!(ro.round_trip(&read), client.round_trip(&read), "{line}");
+    }
+
+    let line = format!("{}\n", query.to_json());
+    let (head, tail) = line.split_at(line.len() / 2);
+    ro.writer.write_all(head.as_bytes()).unwrap();
+    std::thread::sleep(Duration::from_millis(400));
+    ro.writer.write_all(tail.as_bytes()).unwrap();
+    assert_eq!(ro.recv(), want, "a request split by a pause");
+
+    let mut hog = TcpStream::connect(&listen).unwrap();
+    // the write may fail part-way once the follower closes on us
+    let _ = hog.write_all(&vec![b'x'; troll::serve::MAX_LINE + 2]);
+    hog.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut buf = [0u8; 16];
+    assert_eq!(
+        hog.read(&mut buf).unwrap_or(0),
+        0,
+        "the follower should close the oversized connection"
+    );
 
     // mutations are refused, reads still served on the same connection
     let refused = ro.round_trip(&Request::SubmitEvent {

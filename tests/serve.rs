@@ -1,17 +1,19 @@
 //! Integration tests of the multi-world animation server: protocol
 //! robustness (partial reads, pipelining, bad input), equivalence with
-//! sequential animation, scale (1k worlds), durability across server
-//! restarts, and the cross-world speculation API the server is built
-//! on.
+//! sequential animation, scale (1k worlds) and durability across server
+//! restarts.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
-use troll::data::{ObjectId, Value};
 use troll::runtime::ObjectBase;
 use troll::script::run_command;
 use troll::serve::{LoadConfig, Request, Response, ServeOptions, Server};
 use troll::System;
+
+#[path = "dept_queries.rs"]
+mod dept_queries;
+use dept_queries::queries;
 
 fn base() -> ObjectBase {
     System::load_str(troll::specs::DEPT)
@@ -109,16 +111,16 @@ fn served_world_matches_sequential_animate() {
             Err(e) => assert_eq!(got, Response::Err(e.clone()), "line: {line}"),
         }
     }
-    // query sugar hits the same script paths
-    let attr = client.round_trip(&Request::QueryAttr {
-        world: "w".to_string(),
-        id: r#"|DEPT|("Toys")"#.to_string(),
-        attr: "employees".to_string(),
-    });
-    let want = run_command(&mut oracle, r#"show |DEPT|("Toys") employees"#)
-        .unwrap()
-        .to_string();
-    assert_eq!(attr, Response::Ok(want));
+    // queries take the read-lock path; each answers exactly as the
+    // matching `show`/`view` script line, failures included
+    for (query, line) in queries("w") {
+        let got = client.round_trip(&query);
+        let want = match run_command(&mut oracle, &line) {
+            Ok(outcome) => Response::Ok(outcome.to_string()),
+            Err(e) => Response::Err(e),
+        };
+        assert_eq!(got, want, "query: {line}");
+    }
     client.shutdown();
     spawned.join.join().unwrap().unwrap();
 }
@@ -363,60 +365,6 @@ fn durable_worlds_survive_restart() {
     client.shutdown();
     spawned.join.join().unwrap().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The speculation API the server is built on: a stale speculation
-/// (the world moved underneath it) revalidates or re-executes, landing
-/// on exactly the state a sequential run reaches.
-#[test]
-fn stale_speculation_matches_sequential_execution() {
-    let toys = ObjectId::new("DEPT", vec![Value::from("Toys")]);
-    let person = |n: &str| Value::Id(ObjectId::singleton("PERSON", Value::from(n)));
-
-    // oracle: plain sequential execution
-    let mut oracle = base();
-    oracle
-        .birth(
-            "DEPT",
-            vec![Value::from("Toys")],
-            "establishment",
-            vec![Value::Date(troll::data::Date::new(1991, 10, 16).unwrap())],
-        )
-        .unwrap();
-    oracle.execute(&toys, "hire", vec![person("ada")]).unwrap();
-    oracle.execute(&toys, "hire", vec![person("bob")]).unwrap();
-
-    // speculate both hires against the same frozen world, then commit
-    // them in order: the second speculation is stale by the time it
-    // commits (same target instance → read-set revalidation fails →
-    // sequential re-execution)
-    let mut ob = base();
-    ob.birth(
-        "DEPT",
-        vec![Value::from("Toys")],
-        "establishment",
-        vec![Value::Date(troll::data::Date::new(1991, 10, 16).unwrap())],
-    )
-    .unwrap();
-    let spec_a = ob.speculate(toys.clone(), "hire", vec![person("ada")]);
-    let spec_b = ob.speculate(toys.clone(), "hire", vec![person("bob")]);
-    let (res_a, conflict_a) = ob.commit_speculation(spec_a);
-    assert!(res_a.is_ok());
-    assert!(!conflict_a, "first commit sees an unmoved world");
-    let (res_b, _conflict_b) = ob.commit_speculation(spec_b);
-    assert!(res_b.is_ok());
-
-    assert_eq!(
-        ob.attribute(&toys, "employees").unwrap(),
-        oracle.attribute(&toys, "employees").unwrap()
-    );
-    assert_eq!(ob.steps_executed(), oracle.steps_executed());
-
-    // a speculated refusal also matches the sequential refusal
-    let spec_bad = ob.speculate(toys.clone(), "fire", vec![person("ghost")]);
-    let (res, _) = ob.commit_speculation(spec_bad);
-    let seq = oracle.execute(&toys, "fire", vec![person("ghost")]);
-    assert_eq!(res.unwrap_err().to_string(), seq.unwrap_err().to_string());
 }
 
 /// An over-long request line gets the connection dropped (it cannot be
