@@ -27,7 +27,7 @@ use std::hint::black_box;
 use troll::data::{MapEnv, Term, Value};
 use troll::temporal::{eval_now, EventPattern, Formula, Monitor};
 use troll::System;
-use troll_bench::{dept_base_deep, dept_base_with, person};
+use troll_bench::{dept_base_deep, dept_base_members, dept_base_with, person};
 
 fn bench_event_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("e3_event_throughput");
@@ -244,6 +244,56 @@ fn bench_monitor_ablation(c: &mut Criterion) {
     group.finish();
 }
 
+/// Ablation (DESIGN.md decision 2, parametric): DEPT's two §4
+/// permissions at 64, 256 and 1 024 standing members, answered by their
+/// sliced monitors vs the history scan.
+///
+/// * `refused_fire` — `{ sometime(after(hire(P))) } fire(P)` for a
+///   never-hired person: one peek of the default slice, against a scan
+///   of the whole history.
+/// * `refused_closure` — `{ for all(P in hired_ever :
+///   sometime(after(fire(P)))) } closure` with every member fired but
+///   the last in `hired_ever`'s order, so the quantifier folds over
+///   every member before it fails: one slice lookup per member, against
+///   one history scan per member.
+///
+/// Both checks are refused and roll back, so the base is unchanged and
+/// plain `iter` sampling is exact; the first (unmeasured) check builds
+/// and replays the monitor. The history is 2·members steps: the birth,
+/// the hires and the fires.
+fn bench_parametric_ablation(c: &mut Criterion) {
+    let mut group = c.benchmark_group("e3_parametric");
+    for members in [64usize, 256, 1024] {
+        let last = (0..members).map(person).max().expect("members");
+        for (label, cache_on) in [("scan", false), ("monitored", true)] {
+            let (mut ob, dept) = dept_base_members(members);
+            for p in (0..members).map(person).filter(|p| *p != last) {
+                ob.execute(&dept, "fire", vec![p]).expect("fire permitted");
+            }
+            ob.set_monitor_cache_enabled(cache_on);
+            for event in ["fire", "closure"] {
+                let args = if event == "fire" {
+                    vec![person(999_999)]
+                } else {
+                    vec![]
+                };
+                ob.execute(&dept, event, args.clone()).expect_err("refused"); // warms the monitor
+                group.bench_with_input(
+                    BenchmarkId::new(format!("refused_{event}_{label}"), members),
+                    &members,
+                    |b, _| {
+                        b.iter(|| {
+                            let err = ob.execute(&dept, event, args.clone()).expect_err("refused");
+                            black_box(err)
+                        })
+                    },
+                );
+            }
+        }
+    }
+    group.finish();
+}
+
 fn bench_event_calling(c: &mut Criterion) {
     let mut group = c.benchmark_group("e5_event_calling");
     group.sample_size(30);
@@ -407,6 +457,7 @@ criterion_group!(
     bench_permission_check,
     bench_monitored_path,
     bench_monitor_ablation,
+    bench_parametric_ablation,
     bench_event_calling,
     bench_rule_scan_ablation
 );

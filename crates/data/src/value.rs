@@ -68,6 +68,27 @@ impl ObjectId {
             key: self.key.clone(),
         }
     }
+
+    /// Appends the identity's binary encoding to `out`: the class name,
+    /// then the key values (see [`Value::encode_into`]).
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        put_str(out, &self.class);
+        put_len(out, self.key.len());
+        for v in &self.key {
+            v.encode_into(out);
+        }
+    }
+}
+
+/// A `u32` length prefix, little-endian.
+fn put_len(out: &mut Vec<u8>, n: usize) {
+    out.extend_from_slice(&(n as u32).to_le_bytes());
+}
+
+/// A length-prefixed UTF-8 string.
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_len(out, s.len());
+    out.extend_from_slice(s.as_bytes());
 }
 
 impl fmt::Display for ObjectId {
@@ -380,6 +401,71 @@ impl FromIterator<Value> for Value {
     /// Collecting an iterator of values yields a list value.
     fn from_iter<I: IntoIterator<Item = Value>>(iter: I) -> Self {
         Value::list_of(iter)
+    }
+}
+
+impl Value {
+    /// Appends the value's binary encoding to `out`: a tag byte per
+    /// node, little-endian fixed-width numbers, and `u32` length
+    /// prefixes on strings and collections. Two values encode to the
+    /// same bytes exactly when they are equal, so the bytes serve as a
+    /// compact owned key; `troll-store` writes values to disk this way.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        match self {
+            Value::Undefined => out.push(0),
+            Value::Bool(b) => out.extend_from_slice(&[1, u8::from(*b)]),
+            Value::Int(i) => {
+                out.push(2);
+                out.extend_from_slice(&i.to_le_bytes());
+            }
+            Value::Str(s) => {
+                out.push(3);
+                put_str(out, s);
+            }
+            Value::Date(d) => {
+                out.push(4);
+                out.extend_from_slice(&d.year().to_le_bytes());
+                out.extend_from_slice(&[d.month(), d.day()]);
+            }
+            Value::Money(m) => {
+                out.push(5);
+                out.extend_from_slice(&m.cents().to_le_bytes());
+            }
+            Value::Id(id) => {
+                out.push(6);
+                id.encode_into(out);
+            }
+            Value::Set(xs) => {
+                out.push(7);
+                put_len(out, xs.len());
+                for x in xs {
+                    x.encode_into(out);
+                }
+            }
+            Value::List(xs) => {
+                out.push(8);
+                put_len(out, xs.len());
+                for x in xs {
+                    x.encode_into(out);
+                }
+            }
+            Value::Map(m) => {
+                out.push(9);
+                put_len(out, m.len());
+                for (k, x) in m.iter() {
+                    k.encode_into(out);
+                    x.encode_into(out);
+                }
+            }
+            Value::Tuple(fields) => {
+                out.push(10);
+                put_len(out, fields.len());
+                for (name, x) in fields {
+                    put_str(out, name);
+                    x.encode_into(out);
+                }
+            }
+        }
     }
 }
 

@@ -6,8 +6,9 @@ pub enum CheckPath {
     /// Answered by an incremental monitor peek (O(|φ|)).
     Monitored,
     /// Answered by the reference history-scan evaluator
-    /// (O(|trace|·|φ|)) — the fallback for quantified/future/open
-    /// formulas, role histories and a disabled cache.
+    /// (O(|trace|·|φ|)) — the fallback for formulas outside every
+    /// monitorable fragment (future operators, open predicates,
+    /// unsliceable quantifiers), role histories and a disabled cache.
     Scan,
 }
 

@@ -4,8 +4,8 @@ use crate::compiled::{CompiledCall, CompiledClass, CompiledModel};
 use crate::env::{self, World};
 use crate::instance::{Instance, RoleState};
 use crate::monitor_cache::{
-    monitorable_grounding, recorded_state_vars, CheckKind, CheckRef, MonitorCache,
-    MonitorCacheStats, Verdict,
+    recorded_state_vars, CheckKind, CheckRef, FallbackReason, MonitorCache, MonitorCacheStats,
+    Verdict, MAX_ENTRIES_PER_INSTANCE,
 };
 use crate::persist::{InstanceDump, StepSink};
 use crate::{Result, RuntimeError};
@@ -1570,7 +1570,7 @@ impl ObjectBase {
                 drop(env_guard);
                 // Role histories stay on the scan path; base histories
                 // go through the monitor cache, falling back to the
-                // scan for anything outside the monitorable fragment.
+                // scan for anything it cannot monitor.
                 // Scans dispatch through the compiled formula when the
                 // compiled model exists (always, outside the `treewalk`
                 // oracle build) — bytecode leaves, identical semantics.
@@ -1588,14 +1588,15 @@ impl ObjectBase {
                         ctx_class: &occ.ctx_class,
                         event: &occ.event,
                         index: perm_index,
+                        formula: &perm.formula,
                         args: &params,
                     };
                     match cache.check(&occ.id, key, trace, &virtual_step, &env, || {
-                        monitorable_grounding(&perm.formula, &params, &recorded_state_vars(class))
+                        recorded_state_vars(class)
                     }) {
                         Verdict::Holds(b) => (b, CheckPath::Monitored),
-                        Verdict::Fallback => {
-                            note_scan_fallback(self, cache, "permission", &perm.formula);
+                        Verdict::Fallback(reason) => {
+                            note_scan_fallback(self, reason, "permission", &perm.formula);
                             (scan_check(&env)?, CheckPath::Scan)
                         }
                     }
@@ -1881,18 +1882,15 @@ impl ObjectBase {
                         ctx_class: &w.class,
                         event: "",
                         index,
+                        formula: &c.formula,
                         args: &no_args,
                     };
                     match cache.check(id, key, base_trace, &virtual_step, &env, || {
-                        monitorable_grounding(
-                            &c.formula,
-                            &BTreeMap::new(),
-                            &recorded_state_vars(base_class),
-                        )
+                        recorded_state_vars(base_class)
                     }) {
                         Verdict::Holds(b) => (b, CheckPath::Monitored),
-                        Verdict::Fallback => {
-                            note_scan_fallback(self, cache, "constraint", &c.formula);
+                        Verdict::Fallback(reason) => {
+                            note_scan_fallback(self, reason, "constraint", &c.formula);
                             (scan_check(&env)?, CheckPath::Scan)
                         }
                     }
@@ -1968,17 +1966,17 @@ fn role_entry_mut<'a>(
 }
 
 /// Process-wide count of permission/constraint checks that fell back
-/// from the incremental monitor to the O(history) scan because the
-/// formula lies outside the monitorable fragment — surfaced as
+/// from the incremental monitor to the O(history) scan — surfaced as
 /// `temporal.scan_fallback` in [`troll_obs::global()`].
 fn scan_fallback_counter() -> &'static Counter {
     static COUNTER: OnceLock<Counter> = OnceLock::new();
     COUNTER.get_or_init(|| troll_obs::global().counter("temporal.scan_fallback"))
 }
 
-/// Counts a monitor→scan fallback and warns once per distinct formula,
-/// naming it — so users learn why that check is O(history). Deliberate
-/// scans (cache disabled) are not fallbacks and stay silent.
+/// Counts a monitor→scan fallback and warns once per distinct formula
+/// and reason, naming both — so users learn why that check is
+/// O(history). Deliberate scans (cache disabled) are not fallbacks and
+/// stay silent.
 ///
 /// The one-shot warning routes as a structured
 /// [`ObsEvent::FallbackNoted`] to the world's own observer when one is
@@ -1987,26 +1985,36 @@ fn scan_fallback_counter() -> &'static Counter {
 /// does the historical stderr line fire.
 fn note_scan_fallback(
     base: &ObjectBase,
-    cache: &MonitorCache,
+    reason: FallbackReason,
     what: &str,
     formula: &impl std::fmt::Display,
 ) {
-    if !cache.enabled() {
+    if reason == FallbackReason::Disabled {
         return;
     }
     scan_fallback_counter().inc();
-    static SEEN: OnceLock<Mutex<BTreeSet<String>>> = OnceLock::new();
+    static SEEN: OnceLock<Mutex<BTreeSet<(String, FallbackReason)>>> = OnceLock::new();
     let seen = SEEN.get_or_init(|| Mutex::new(BTreeSet::new()));
     let mut seen = match seen.lock() {
         Ok(guard) => guard,
         Err(poisoned) => poisoned.into_inner(),
     };
     let formula = formula.to_string();
-    if seen.insert(formula.clone()) {
-        let detail = format!(
-            "{what} formula outside the monitorable fragment; \
-             every check scans the full history"
-        );
+    if seen.insert((formula.clone(), reason)) {
+        let why = match reason {
+            FallbackReason::Capacity => format!(
+                "needs more than {MAX_ENTRIES_PER_INSTANCE} per-argument monitors on one \
+                 instance; further argument tuples scan the full history"
+            ),
+            FallbackReason::Poisoned => "could not be replayed by its monitor (a historical \
+                 step failed to evaluate); every check scans the full history"
+                .to_string(),
+            FallbackReason::OutsideFragment | FallbackReason::Disabled => {
+                "is outside the monitorable fragment; every check scans the full history"
+                    .to_string()
+            }
+        };
+        let detail = format!("{what} formula {why}");
         let consumed = if base.observing {
             base.observer.on_event(&ObsEvent::FallbackNoted {
                 fallback: "temporal.scan_fallback".to_string(),
@@ -2018,10 +2026,7 @@ fn note_scan_fallback(
             troll_obs::note_fallback_warning("temporal.scan_fallback", &formula, &detail)
         };
         if !consumed {
-            eprintln!(
-                "warning: {what} formula `{formula}` is outside the monitorable fragment; \
-                 every check scans the full history"
-            );
+            eprintln!("warning: {what} formula `{formula}` {why}");
         }
     }
 }
@@ -3561,8 +3566,9 @@ mod scan_fallback_tests {
         troll_lang::analyze(&troll_lang::parse(src).expect("parse")).expect("analyze")
     }
 
-    /// Quantified permissions lie outside the monitorable fragment: the
-    /// silent monitor→scan fallback must be counted in the process-wide
+    /// A quantifier whose variable sits inside a state predicate under
+    /// `sometime` lies outside every monitorable fragment: the silent
+    /// monitor→scan fallback must be counted in the process-wide
     /// `temporal.scan_fallback`, but only while the cache is enabled
     /// (a deliberate scan is not a fallback).
     #[test]
@@ -3571,7 +3577,7 @@ mod scan_fallback_tests {
 object class DEPT
   identification id: string;
   template
-    attributes hired_ever: set(|PERSON|);
+    attributes employees: set(|PERSON|); hired_ever: set(|PERSON|);
     events
       birth establishment;
       hire(|PERSON|);
@@ -3579,11 +3585,12 @@ object class DEPT
       death closure;
     valuation
       variables P: |PERSON|;
+      [establishment] employees = {};
       [establishment] hired_ever = {};
       [hire(P)] hired_ever = insert(P, hired_ever);
     permissions
       variables P: |PERSON|;
-      { for all(P in hired_ever : sometime(after(fire(P)))) } closure;
+      { for all(P in hired_ever : sometime(P in employees)) } closure;
 end object class DEPT;
 "#;
         let counter = troll_obs::global().counter("temporal.scan_fallback");
@@ -3612,5 +3619,92 @@ end object class DEPT;
             before,
             "deliberate scans must not count as fallbacks"
         );
+    }
+
+    /// `closure`'s quantified permission is answered by a sliced
+    /// monitor: no scan fallback, granted and refused alike.
+    #[test]
+    fn quantified_permission_is_monitored() {
+        let spec = r#"
+object class DEPT
+  identification id: string;
+  template
+    attributes hired_ever: set(|PERSON|);
+    events
+      birth establishment;
+      hire(|PERSON|);
+      fire(|PERSON|);
+      death closure;
+    valuation
+      variables P: |PERSON|;
+      [establishment] hired_ever = {};
+      [hire(P)] hired_ever = insert(P, hired_ever);
+    permissions
+      variables P: |PERSON|;
+      { sometime(after(hire(P))) } fire(P);
+      { for all(P in hired_ever : sometime(after(fire(P)))) } closure;
+end object class DEPT;
+"#;
+        let mut ob = ObjectBase::new(analyze(spec)).unwrap();
+        let toys = ob
+            .birth("DEPT", vec![Value::from("Toys")], "establishment", vec![])
+            .unwrap();
+        for p in ["ada", "bob"] {
+            ob.execute(&toys, "hire", vec![Value::from(p)]).unwrap();
+        }
+        ob.execute(&toys, "fire", vec![Value::from("ada")]).unwrap();
+        assert!(ob.execute(&toys, "closure", vec![]).is_err());
+        ob.execute(&toys, "fire", vec![Value::from("bob")]).unwrap();
+        ob.execute(&toys, "closure", vec![]).unwrap();
+        let stats = ob.monitor_cache_stats();
+        assert_eq!(stats.fallbacks, 0, "{stats}");
+        assert_eq!(stats.hits, 4, "{stats}");
+    }
+
+    /// A two-parameter temporal permission is grounded per argument
+    /// pair; past the per-instance cap the fallback warning names the
+    /// capacity, not the fragment.
+    #[test]
+    fn capacity_fallback_names_capacity() {
+        let spec = r#"
+object class CLUB
+  identification id: string;
+  template
+    events
+      birth founding;
+      meet_cap(string, string);
+      pair_cap(string, string);
+    permissions
+      variables P: string; Q: string;
+      { sometime(after(meet_cap(P, Q))) } pair_cap(P, Q);
+end object class CLUB;
+"#;
+        let mut ob = ObjectBase::new(analyze(spec)).unwrap();
+        let recorder = Arc::new(troll_obs::Recorder::new());
+        ob.set_observer(recorder.clone());
+        let club = ob
+            .birth("CLUB", vec![Value::from("c")], "founding", vec![])
+            .unwrap();
+        for i in 0..=MAX_ENTRIES_PER_INSTANCE {
+            let pair = vec![Value::from(format!("p{i}")), Value::from(format!("q{i}"))];
+            ob.execute(&club, "meet_cap", pair.clone()).unwrap();
+            ob.execute(&club, "pair_cap", pair).unwrap();
+        }
+        let details: Vec<String> = recorder
+            .events()
+            .into_iter()
+            .filter_map(|e| match e {
+                ObsEvent::FallbackNoted { detail, .. } => Some(detail),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(details.len(), 1, "{details:?}");
+        assert!(
+            details[0].contains("per-argument monitors"),
+            "{}",
+            details[0]
+        );
+        assert!(!details[0].contains("fragment"), "{}", details[0]);
+        assert_eq!(ob.monitor_cache_stats().fallbacks, 1);
     }
 }

@@ -3,36 +3,61 @@
 //! The reference path evaluates every permission precondition and
 //! dynamic constraint by re-scanning the instance's whole trace
 //! ([`troll_temporal::eval_now_appended`], O(|trace|·|φ|) per check).
-//! This cache keeps one incremental [`Monitor`] per (instance, grounded
-//! check) pair, advanced once per committed step, so a check on the
-//! hot path costs a single O(|φ|) [`Monitor::peek`] regardless of how
-//! long the object has lived.
+//! This cache keeps incremental monitors per (instance, rule), advanced
+//! once per committed step, so a check on the hot path costs a peek
+//! regardless of how long the object has lived. A rule is classified on
+//! its first check:
+//!
+//! * **closed** — no parameter reaches the formula (constraints, or
+//!   permissions over recorded state only): one [`Monitor`];
+//! * **sliced** — one variable occurs as a whole event-pattern argument:
+//!   a permission parameter (`{ sometime(after(hire(P))) } fire(P)`) or
+//!   the variable of a top-level `for all`/`exists` (`closure`'s
+//!   permission). One [`SlicedMonitor`] answers the check at every
+//!   value (trace slicing, Chen & Roşu 2009);
+//! * **grounded** — anything else that becomes monitorable once its
+//!   parameters are substituted (e.g. two parameters under a temporal
+//!   operator): one [`Monitor`] per distinct argument tuple, at most
+//!   [`MAX_ENTRIES_PER_INSTANCE`] per instance;
+//! * **outside** — quantifiers the slicer rejects, future operators,
+//!   open predicates: every check scans.
 //!
 //! # Safety argument
 //!
-//! The cache must never change observable semantics, only cost. Three
+//! The cache must never change observable semantics, only cost. Four
 //! properties make that hold:
 //!
-//! 1. **Grounding makes rigid arguments closed.** The scan evaluator
+//! 1. **Replayed terms are closed or recorded.** The scan evaluator
 //!    reads event-pattern arguments and permission parameters rigidly
 //!    in the *check-time* environment. A monitor replaying history has
-//!    no such environment, so [`monitorable_grounding`] substitutes the
-//!    parameter bindings as constants and rejects any formula that
-//!    still mentions a variable not guaranteed to be recorded in every
-//!    trace snapshot. Bindings that collide with recorded state names
-//!    are also rejected: step state shadows the ambient environment
-//!    under the scan semantics, so substituting them would flip the
-//!    resolution order.
-//! 2. **Replay errors poison the entry.** Historical steps are replayed
+//!    no such environment, so every state predicate it replays may
+//!    mention only variables guaranteed to be recorded in every trace
+//!    snapshot, and every pattern argument is closed — after
+//!    [`monitorable_grounding`] substitutes the parameters, or, for a
+//!    sliced monitor, apart from the slice variable, whose value is
+//!    read from the check-time environment at peek time exactly as the
+//!    scan reads it. Grounding bindings that collide with recorded
+//!    state names are rejected: step state shadows the ambient
+//!    environment under the scan semantics, so substituting them would
+//!    flip the resolution order.
+//! 2. **Replay errors poison the rule.** Historical steps are replayed
 //!    with an empty ambient environment. Any formula that needs
-//!    check-time bindings fails evaluation, the entry is marked
-//!    [`Entry::Unmonitorable`], and the caller falls back to the scan —
-//!    a monitor can give up, but it can never answer differently.
+//!    check-time bindings fails evaluation, the monitor is dropped, and
+//!    the caller falls back to the scan — a monitor can give up, but it
+//!    can never answer differently.
 //! 3. **Feeding happens at commit only.** [`MonitorCache::on_commit`]
 //!    is called exactly where the step engine pushes a committed trace
-//!    step; checks use the non-mutating [`Monitor::peek`] against the
-//!    transaction's virtual step. A rolled-back transaction therefore
-//!    leaves every monitor untouched by construction.
+//!    step; checks use non-mutating peeks against the transaction's
+//!    virtual step. A rolled-back transaction therefore leaves every
+//!    monitor untouched by construction.
+//! 4. **An untouched value's slice equals the default slice.** A value
+//!    no committed occurrence has carried at the slice variable's
+//!    position makes every slice pattern false at every step, so its
+//!    monitor run is the default slice's run, step for step. A value
+//!    forks the first time a commit mentions it, from the default state
+//!    of the step before. A quantifier therefore folds over any domain,
+//!    including values the history never mentioned, and each answer is
+//!    what a monitor grounded at that value would give.
 //!
 //! `troll-core`'s differential property test drives random event
 //! scripts through a cached and an uncached object base and asserts
@@ -43,14 +68,15 @@ use troll_data::{Env, MapEnv, ObjectId, Value};
 use troll_lang::ast::ComponentKind;
 use troll_lang::ClassModel;
 use troll_obs::{Counter, Metrics};
-use troll_temporal::{Formula, Monitor, Step, Trace};
+use troll_temporal::{Formula, Monitor, SlicedMonitor, Step, Trace};
 
-/// Per-instance cap on cached entries; beyond it, new checks simply use
-/// the scan path rather than evict (eviction would thrash on workloads
-/// with more distinct parameter values than slots).
-const MAX_ENTRIES_PER_INSTANCE: usize = 128;
+/// Per-instance cap on grounded (per-argument-tuple) monitors; beyond
+/// it, new argument tuples simply use the scan path rather than evict
+/// (eviction would thrash on workloads with more distinct argument
+/// tuples than slots). Closed and sliced rules need one entry each.
+pub(crate) const MAX_ENTRIES_PER_INSTANCE: usize = 128;
 
-/// What kind of check an entry caches.
+/// What kind of check a rule is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum CheckKind {
     /// A permission precondition of an event.
@@ -59,25 +85,21 @@ pub(crate) enum CheckKind {
     Constraint,
 }
 
-/// Identity of one grounded check within an instance: which rule it is
-/// (kind, context class, event, declaration index) plus the parameter
-/// values it was grounded with.
+/// Identity of one rule within an instance: kind, context class, event
+/// and declaration index.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct CheckKey {
-    pub kind: CheckKind,
-    pub ctx_class: String,
+struct RuleKey {
+    kind: CheckKind,
+    ctx_class: String,
     /// Guarded event name; empty for constraints.
-    pub event: String,
+    event: String,
     /// Index of the rule in the class's declaration order.
-    pub index: usize,
-    /// Grounded parameter values; empty for constraints.
-    pub args: Vec<Value>,
+    index: usize,
 }
 
-/// Borrowed view of a [`CheckKey`], built on the check hot path from
-/// the step engine's existing data — no `String`/`Vec` clones per
-/// check. An owned key is materialized only when a new cache entry is
-/// actually inserted ([`CheckRef::to_owned`]).
+/// One check, borrowed from the step engine's existing data — no
+/// `String`/`Vec` clones per check. An owned key is materialized only
+/// when a rule is first classified.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CheckRef<'a> {
     pub kind: CheckKind,
@@ -86,43 +108,72 @@ pub(crate) struct CheckRef<'a> {
     pub event: &'a str,
     /// Index of the rule in the class's declaration order.
     pub index: usize,
-    /// Parameter bindings; the grounded argument values are the map's
-    /// values in name order, matching how [`CheckKey::args`] is built.
+    /// The rule's formula, as declared.
+    pub formula: &'a Formula,
+    /// Parameter bindings; a grounded entry's argument tuple is the
+    /// map's values in name order.
     pub args: &'a BTreeMap<String, Value>,
 }
 
 impl CheckRef<'_> {
-    fn to_owned(self) -> CheckKey {
-        CheckKey {
+    fn rule_key(self) -> RuleKey {
+        RuleKey {
             kind: self.kind,
             ctx_class: self.ctx_class.to_string(),
             event: self.event.to_string(),
             index: self.index,
-            args: self.args.values().cloned().collect(),
         }
     }
 }
 
 /// How `stored` orders relative to the probe — consistent with
-/// `CheckKey`'s derived `Ord` against `probe.to_owned()`, without
+/// `RuleKey`'s derived `Ord` against `probe.rule_key()`, without
 /// materializing the owned key.
-fn key_order(stored: &CheckKey, probe: &CheckRef<'_>) -> std::cmp::Ordering {
+fn key_order(stored: &RuleKey, probe: &CheckRef<'_>) -> std::cmp::Ordering {
     stored
         .kind
         .cmp(&probe.kind)
         .then_with(|| stored.ctx_class.as_str().cmp(probe.ctx_class))
         .then_with(|| stored.event.as_str().cmp(probe.event))
         .then_with(|| stored.index.cmp(&probe.index))
-        .then_with(|| stored.args.iter().cmp(probe.args.values()))
 }
 
+/// How one rule's checks are answered.
 #[derive(Debug)]
-enum Entry {
-    /// A live monitor, synced to some prefix of the committed trace.
-    Active(Monitor),
-    /// The check is outside the monitorable fragment (or a replay
-    /// errored); always answer with the scan path.
-    Unmonitorable,
+enum Rule {
+    /// One monitor for every check of the rule.
+    Closed(Monitor),
+    /// One sliced monitor for every value of the slice variable.
+    Sliced(Box<SlicedMonitor>),
+    /// One monitor per argument tuple, sorted by tuple; `None` marks a
+    /// tuple whose monitor was poisoned.
+    Grounded(Vec<(Vec<Value>, Option<Monitor>)>),
+    /// Outside the monitorable fragment.
+    Outside,
+    /// A replay or peek errored; every check scans.
+    Poisoned,
+}
+
+impl Rule {
+    /// Live monitors (for invalidation counts).
+    fn monitors(&self) -> usize {
+        match self {
+            Rule::Closed(_) | Rule::Sliced(_) => 1,
+            Rule::Grounded(entries) => entries.len(),
+            Rule::Outside | Rule::Poisoned => 0,
+        }
+    }
+}
+
+/// One instance's rules, sorted by [`RuleKey`] and probed by binary
+/// search with [`key_order`] (a handful of rules per class: a tree buys
+/// nothing, and the flat layout lets a lookup compare against borrowed
+/// key parts).
+#[derive(Debug, Default)]
+struct InstanceCache {
+    rules: Vec<(RuleKey, Rule)>,
+    /// Grounded monitors across all rules, against the cap.
+    grounded: usize,
 }
 
 /// A stable point-in-time snapshot of the monitor-cache counters, as
@@ -135,15 +186,17 @@ enum Entry {
 /// struct is the typed façade over that registry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MonitorCacheStats {
-    /// Checks answered by a monitor peek — the O(|φ|) fast path.
+    /// Checks answered by a monitor peek — the fast path.
     pub hits: u64,
-    /// Cache entries created (first sight of a grounded check).
+    /// Rules classified (a rule's first check on an instance) plus
+    /// grounded monitors created (a grounded rule's first check with a
+    /// new argument tuple).
     pub misses: u64,
     /// Checks answered by the reference scan evaluator: formulas
-    /// outside the monitorable fragment, poisoned entries, per-instance
+    /// outside the monitorable fragment, poisoned monitors, per-instance
     /// capacity overflow, or a disabled cache.
     pub fallbacks: u64,
-    /// Entries dropped or degraded (instance death, stale or poisoned
+    /// Monitors dropped or degraded (instance death, stale or poisoned
     /// monitor state).
     pub invalidations: u64,
 }
@@ -165,50 +218,116 @@ impl std::fmt::Display for MonitorCacheStats {
     }
 }
 
+/// Why a check was answered by the scan.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum FallbackReason {
+    /// The cache is off: the scan was asked for.
+    Disabled,
+    /// The formula is outside every monitorable fragment.
+    OutsideFragment,
+    /// Replaying or peeking the monitor errored.
+    Poisoned,
+    /// The instance already holds [`MAX_ENTRIES_PER_INSTANCE`] grounded
+    /// monitors.
+    Capacity,
+}
+
 /// Outcome of consulting the cache for one check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Verdict {
     /// The monitor answered: the formula holds (or not) on the history
     /// extended with the virtual step.
     Holds(bool),
-    /// Not cacheable here — evaluate with the scan path.
-    Fallback,
+    /// Not answered here — evaluate with the scan path.
+    Fallback(FallbackReason),
 }
 
-/// The cache proper: monitors keyed by instance, then by grounded
-/// check. The stats counters are obs handles — registered in the owning
-/// object base's [`Metrics`] under `monitor_cache.*` — so one
-/// instrumentation source feeds both [`MonitorCacheStats`] and the
-/// metrics snapshot.
-///
-/// Per-instance entries live in a `Vec` sorted by `CheckKey` order and
-/// are probed by binary search with [`key_order`]: the instance cap is
-/// 128 entries, a tree buys nothing at that size, and the flat layout
-/// is what lets a lookup compare against borrowed key parts instead of
-/// an allocated `CheckKey`.
+/// The cache's counters, registered in the owning object base's
+/// [`Metrics`] under `monitor_cache.*` — so one instrumentation source
+/// feeds both [`MonitorCacheStats`] and the metrics snapshot.
 #[derive(Debug)]
-pub(crate) struct MonitorCache {
-    enabled: bool,
-    per_instance: BTreeMap<ObjectId, Vec<(CheckKey, Entry)>>,
+struct CacheCounters {
     hits: Counter,
     misses: Counter,
     fallbacks: Counter,
     invalidations: Counter,
 }
 
+/// The cache proper: rules keyed by instance, then by [`RuleKey`].
+#[derive(Debug)]
+pub(crate) struct MonitorCache {
+    enabled: bool,
+    per_instance: BTreeMap<ObjectId, InstanceCache>,
+    /// `None` in a placeholder or scratch cache, which counts nothing.
+    counters: Option<CacheCounters>,
+}
+
 impl Default for MonitorCache {
-    /// A cache with free-standing (unregistered) counters — used as the
-    /// placeholder during `mem::take` in the step engine and in unit
-    /// tests. The runtime's real cache is built by [`MonitorCache::new`].
+    /// A cache that counts nothing — the placeholder the step engine
+    /// leaves behind while it borrows the real cache (built without
+    /// allocating, on every step), and the sharded executor's scratch
+    /// cache. The runtime's real cache is built by [`MonitorCache::new`].
     fn default() -> Self {
         MonitorCache {
             enabled: true,
             per_instance: BTreeMap::new(),
-            hits: Counter::new(),
-            misses: Counter::new(),
-            fallbacks: Counter::new(),
-            invalidations: Counter::new(),
+            counters: None,
         }
+    }
+}
+
+/// A monitor's answer, or why the scan must answer instead.
+type Answer = Result<bool, FallbackReason>;
+
+/// Catches a monitor that has consumed `seen` steps up on the rest of
+/// the committed trace (the whole history on first use, O(1) amortized
+/// afterwards). Replay uses an empty ambient environment: anything that
+/// needs check-time bindings errors out and poisons the monitor.
+fn catch_up(
+    seen: usize,
+    trace: &Trace,
+    mut feed: impl FnMut(&Step, &dyn Env) -> bool,
+) -> Result<(), FallbackReason> {
+    let rigid = MapEnv::new();
+    for step in trace.iter().skip(seen) {
+        if !feed(step, &rigid) {
+            return Err(FallbackReason::Poisoned);
+        }
+    }
+    Ok(())
+}
+
+fn peek_closed(m: &mut Monitor, trace: &Trace, vstep: &Step, env: &dyn Env) -> Answer {
+    catch_up(m.steps(), trace, |s, rigid| m.step(s, rigid).is_ok())?;
+    m.peek(vstep, env).map_err(|_| FallbackReason::Poisoned)
+}
+
+fn peek_sliced(m: &mut SlicedMonitor, trace: &Trace, vstep: &Step, env: &dyn Env) -> Answer {
+    catch_up(m.steps(), trace, |s, rigid| m.step(s, rigid).is_ok())?;
+    m.peek(vstep, env).map_err(|_| FallbackReason::Poisoned)
+}
+
+/// Classifies a rule on its first check (see the module docs).
+fn classify(
+    formula: &Formula,
+    bindings: &BTreeMap<String, Value>,
+    recorded: &BTreeSet<String>,
+) -> Rule {
+    if monitor_safe(formula, recorded) {
+        if let Ok(m) = Monitor::new(formula) {
+            return Rule::Closed(m);
+        }
+    }
+    if preds_recorded(formula, recorded) {
+        if let Ok(m) = SlicedMonitor::new(formula) {
+            return Rule::Sliced(Box::new(m));
+        }
+    }
+    // whether grounding lands in the fragment depends on the bindings'
+    // names only, which every check of the rule shares
+    match monitorable_grounding(formula, bindings, recorded) {
+        Some(_) => Rule::Grounded(Vec::new()),
+        None => Rule::Outside,
     }
 }
 
@@ -217,12 +336,19 @@ impl MonitorCache {
     /// `monitor_cache.{hits,misses,fallbacks,invalidations}`.
     pub(crate) fn new(metrics: &Metrics) -> Self {
         MonitorCache {
-            enabled: true,
-            per_instance: BTreeMap::new(),
-            hits: metrics.counter("monitor_cache.hits"),
-            misses: metrics.counter("monitor_cache.misses"),
-            fallbacks: metrics.counter("monitor_cache.fallbacks"),
-            invalidations: metrics.counter("monitor_cache.invalidations"),
+            counters: Some(CacheCounters {
+                hits: metrics.counter("monitor_cache.hits"),
+                misses: metrics.counter("monitor_cache.misses"),
+                fallbacks: metrics.counter("monitor_cache.fallbacks"),
+                invalidations: metrics.counter("monitor_cache.invalidations"),
+            }),
+            ..MonitorCache::default()
+        }
+    }
+
+    fn count(&self, n: u64, counter: fn(&CacheCounters) -> &Counter) {
+        if let Some(c) = &self.counters {
+            counter(c).add(n);
         }
     }
 
@@ -241,22 +367,26 @@ impl MonitorCache {
     }
 
     pub(crate) fn stats(&self) -> MonitorCacheStats {
+        let get = |counter: fn(&CacheCounters) -> &Counter| {
+            self.counters.as_ref().map_or(0, |c| counter(c).get())
+        };
         MonitorCacheStats {
-            hits: self.hits.get(),
-            misses: self.misses.get(),
-            fallbacks: self.fallbacks.get(),
-            invalidations: self.invalidations.get(),
+            hits: get(|c| &c.hits),
+            misses: get(|c| &c.misses),
+            fallbacks: get(|c| &c.fallbacks),
+            invalidations: get(|c| &c.invalidations),
         }
     }
 
     /// Answers one check against `trace` extended with `virtual_step`,
-    /// creating/syncing the entry as needed. `ground` is invoked only
-    /// when the entry is first created; returning `None` marks the
-    /// check unmonitorable for good.
+    /// creating and syncing monitors as needed. `recorded` (the class's
+    /// recorded state variables) is asked for only when a monitor is
+    /// created.
     ///
-    /// The hit path — instance known, entry present, monitor in sync —
-    /// performs no allocation: the probe key is borrowed and the
-    /// instance/entry lookups compare in place.
+    /// The hit path — instance known, rule classified, monitor in sync
+    /// — allocates only what the sliced peek needs for the values the
+    /// virtual step mentions: the probe key is borrowed and the lookups
+    /// compare in place.
     pub(crate) fn check(
         &mut self,
         id: &ObjectId,
@@ -264,82 +394,107 @@ impl MonitorCache {
         trace: &Trace,
         virtual_step: &Step,
         env: &dyn Env,
-        ground: impl FnOnce() -> Option<Formula>,
+        recorded: impl Fn() -> BTreeSet<String>,
     ) -> Verdict {
-        if !self.enabled {
-            self.fallbacks.inc();
-            return Verdict::Fallback;
-        }
-        if !self.per_instance.contains_key(id) {
-            self.per_instance.insert(id.clone(), Vec::new());
-        }
-        let entries = self.per_instance.get_mut(id).expect("ensured above");
-
-        let idx = match entries.binary_search_by(|(k, _)| key_order(k, &key)) {
-            Ok(i) => {
-                // A monitor ahead of the committed trace cannot arise
-                // from the normal feed order; rebuild rather than
-                // trust it.
-                if matches!(&entries[i].1, Entry::Active(m) if m.steps() > trace.len()) {
-                    self.invalidations.inc();
-                    self.misses.inc();
-                    entries[i].1 = match ground().map(|f| Monitor::new(&f)) {
-                        Some(Ok(m)) => Entry::Active(m),
-                        _ => Entry::Unmonitorable,
-                    };
-                }
-                i
+        let answer = if self.enabled {
+            self.answer(id, key, trace, virtual_step, env, recorded)
+        } else {
+            Err(FallbackReason::Disabled)
+        };
+        match answer {
+            Ok(holds) => {
+                self.count(1, |c| &c.hits);
+                Verdict::Holds(holds)
             }
+            Err(reason) => {
+                self.count(1, |c| &c.fallbacks);
+                Verdict::Fallback(reason)
+            }
+        }
+    }
+
+    fn answer(
+        &mut self,
+        id: &ObjectId,
+        key: CheckRef<'_>,
+        trace: &Trace,
+        vstep: &Step,
+        env: &dyn Env,
+        recorded: impl Fn() -> BTreeSet<String>,
+    ) -> Answer {
+        if !self.per_instance.contains_key(id) {
+            self.per_instance
+                .insert(id.clone(), InstanceCache::default());
+        }
+        let inst = self.per_instance.get_mut(id).expect("ensured above");
+        let (mut misses, mut invalidations) = (0, 0);
+        let idx = match inst.rules.binary_search_by(|(k, _)| key_order(k, &key)) {
+            Ok(i) => i,
             Err(pos) => {
-                self.misses.inc();
-                if entries.len() >= MAX_ENTRIES_PER_INSTANCE {
-                    self.fallbacks.inc();
-                    return Verdict::Fallback;
-                }
-                let entry = match ground().map(|f| Monitor::new(&f)) {
-                    Some(Ok(m)) => Entry::Active(m),
-                    _ => Entry::Unmonitorable,
-                };
-                entries.insert(pos, (key.to_owned(), entry));
+                misses += 1;
+                let rule = classify(key.formula, key.args, &recorded());
+                inst.rules.insert(pos, (key.rule_key(), rule));
                 pos
             }
         };
-
-        let entry = &mut entries[idx].1;
-        let Entry::Active(monitor) = entry else {
-            self.fallbacks.inc();
-            return Verdict::Fallback;
+        let rule = &mut inst.rules[idx].1;
+        // A monitor ahead of the committed trace cannot arise from the
+        // normal feed order; rebuild rather than trust it.
+        let ahead = match rule {
+            Rule::Closed(m) => m.steps() > trace.len(),
+            Rule::Sliced(m) => m.steps() > trace.len(),
+            _ => false,
         };
-
-        // Catch up on steps committed since the entry was last synced
-        // (the whole history on first use, O(1) amortized afterwards).
-        // Replay uses an empty ambient environment: anything that needs
-        // check-time bindings errors out and poisons the entry.
-        let rigid = MapEnv::new();
-        let mut poisoned = false;
-        while monitor.steps() < trace.len() {
-            let step = trace.step(monitor.steps()).expect("steps() < len()");
-            if monitor.step(step, &rigid).is_err() {
-                poisoned = true;
-                break;
-            }
+        if ahead {
+            invalidations += 1;
+            misses += 1;
+            *rule = classify(key.formula, key.args, &recorded());
         }
-        let answer = if poisoned {
-            None
-        } else {
-            monitor.peek(virtual_step, env).ok()
+        let answer = match rule {
+            Rule::Outside => Err(FallbackReason::OutsideFragment),
+            Rule::Poisoned => Err(FallbackReason::Poisoned),
+            Rule::Closed(m) => peek_closed(m, trace, vstep, env),
+            Rule::Sliced(m) => peek_sliced(m, trace, vstep, env),
+            Rule::Grounded(entries) => {
+                match entries.binary_search_by(|(args, _)| args.iter().cmp(key.args.values())) {
+                    Err(_) if inst.grounded >= MAX_ENTRIES_PER_INSTANCE => {
+                        misses += 1;
+                        Err(FallbackReason::Capacity)
+                    }
+                    found => {
+                        let i = found.unwrap_or_else(|pos| {
+                            misses += 1;
+                            inst.grounded += 1;
+                            let args = key.args.values().cloned().collect();
+                            entries.insert(pos, (args, ground(key, &recorded())));
+                            pos
+                        });
+                        let slot = &mut entries[i].1;
+                        if slot.as_ref().is_some_and(|m| m.steps() > trace.len()) {
+                            invalidations += 1;
+                            misses += 1;
+                            *slot = ground(key, &recorded());
+                        }
+                        let answer = match slot {
+                            Some(m) => peek_closed(m, trace, vstep, env),
+                            None => Err(FallbackReason::Poisoned),
+                        };
+                        if answer.is_err() {
+                            *slot = None;
+                        }
+                        answer
+                    }
+                }
+            }
         };
-        match answer {
-            Some(holds) => {
-                self.hits.inc();
-                Verdict::Holds(holds)
-            }
-            None => {
-                *entry = Entry::Unmonitorable;
-                self.fallbacks.inc();
-                Verdict::Fallback
-            }
+        if answer == Err(FallbackReason::Poisoned)
+            && matches!(rule, Rule::Closed(_) | Rule::Sliced(_))
+        {
+            *rule = Rule::Poisoned;
         }
+        self.count(misses, |c| &c.misses);
+        self.count(invalidations, |c| &c.invalidations);
+        answer
     }
 
     /// Feeds a freshly committed step to every monitor of the instance.
@@ -350,30 +505,54 @@ impl MonitorCache {
         if !self.enabled {
             return 0;
         }
-        let Some(entries) = self.per_instance.get_mut(id) else {
+        let Some(inst) = self.per_instance.get_mut(id) else {
             return 0;
         };
         let rigid = MapEnv::new();
-        let mut fed = 0usize;
-        for (_, entry) in entries.iter_mut() {
-            if let Entry::Active(m) = entry {
-                if m.step(step, &rigid).is_err() {
-                    self.invalidations.inc();
-                    *entry = Entry::Unmonitorable;
-                } else {
-                    fed += 1;
+        let (mut fed, mut poisoned) = (0usize, 0u64);
+        for (_, rule) in inst.rules.iter_mut() {
+            let ok = match rule {
+                Rule::Closed(m) => m.step(step, &rigid).is_ok(),
+                Rule::Sliced(m) => m.step(step, &rigid).is_ok(),
+                Rule::Grounded(entries) => {
+                    for (_, slot) in entries.iter_mut() {
+                        if let Some(m) = slot {
+                            if m.step(step, &rigid).is_ok() {
+                                fed += 1;
+                            } else {
+                                poisoned += 1;
+                                *slot = None;
+                            }
+                        }
+                    }
+                    continue;
                 }
+                Rule::Outside | Rule::Poisoned => continue,
+            };
+            if ok {
+                fed += 1;
+            } else {
+                poisoned += 1;
+                *rule = Rule::Poisoned;
             }
         }
+        self.count(poisoned, |c| &c.invalidations);
         fed
     }
 
-    /// Drops all entries of a dead instance.
+    /// Drops all monitors of a dead instance.
     pub(crate) fn on_death(&mut self, id: &ObjectId) {
-        if let Some(entries) = self.per_instance.remove(id) {
-            self.invalidations.add(entries.len() as u64);
+        if let Some(inst) = self.per_instance.remove(id) {
+            let dropped = inst.rules.iter().map(|(_, r)| r.monitors()).sum::<usize>();
+            self.count(dropped as u64, |c| &c.invalidations);
         }
     }
+}
+
+/// A grounded monitor for one argument tuple; `None` if grounding
+/// leaves the fragment (which [`classify`] has ruled out).
+fn ground(key: CheckRef<'_>, recorded: &BTreeSet<String>) -> Option<Monitor> {
+    monitorable_grounding(key.formula, key.args, recorded).and_then(|f| Monitor::new(&f).ok())
 }
 
 /// Variables guaranteed resolvable from a committed base-trace snapshot
@@ -441,6 +620,26 @@ fn monitor_safe(f: &Formula, recorded: &BTreeSet<String>) -> bool {
     }
 }
 
+/// Whether every state predicate, quantifier bodies included, mentions
+/// recorded variables only (a quantifier's domain is evaluated at check
+/// time only, so it is exempt).
+fn preds_recorded(f: &Formula, recorded: &BTreeSet<String>) -> bool {
+    match f {
+        Formula::Pred(t) => t.free_vars().iter().all(|v| recorded.contains(v)),
+        Formula::Occurs(_) | Formula::After(_) => true,
+        Formula::Not(a)
+        | Formula::Sometime(a)
+        | Formula::AlwaysPast(a)
+        | Formula::Previous(a)
+        | Formula::Eventually(a)
+        | Formula::Henceforth(a)
+        | Formula::Quant { body: a, .. } => preds_recorded(a, recorded),
+        Formula::And(a, b) | Formula::Or(a, b) | Formula::Implies(a, b) | Formula::Since(a, b) => {
+            preds_recorded(a, recorded) && preds_recorded(b, recorded)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -454,126 +653,222 @@ mod tests {
             .collect()
     }
 
-    fn key<'a>(event: &'a str, args: &'a BTreeMap<String, Value>) -> CheckRef<'a> {
+    fn key<'a>(
+        event: &'a str,
+        formula: &'a Formula,
+        args: &'a BTreeMap<String, Value>,
+    ) -> CheckRef<'a> {
         CheckRef {
             kind: CheckKind::Permission,
             ctx_class: "C",
             event,
             index: 0,
+            formula,
             args,
         }
     }
 
-    fn hire_step(name: &str) -> Step {
+    fn counted() -> MonitorCache {
+        MonitorCache::new(&Metrics::new())
+    }
+
+    fn no_state() -> BTreeSet<String> {
+        BTreeSet::new()
+    }
+
+    fn occurs(name: &str, args: &[&str]) -> Step {
         Step::new(
-            vec![EventOccurrence::new("hire", vec![Value::from(name)])],
+            vec![EventOccurrence::new(
+                name,
+                args.iter().map(|a| Value::from(*a)).collect(),
+            )],
             [],
         )
     }
 
-    fn sometime_hired(name: &str) -> Formula {
-        Formula::sometime(Formula::after(EventPattern::new(
-            "hire",
-            vec![Some(Term::constant(name))],
-        )))
+    fn after(name: &str, args: Vec<Option<Term>>) -> Formula {
+        Formula::after(EventPattern::new(name, args))
     }
 
+    fn sometime_hired() -> Formula {
+        Formula::sometime(after("hire", vec![Some(Term::var("P"))]))
+    }
+
+    /// One sliced monitor answers `fire(P)` at every value of `P`.
     #[test]
     fn check_replays_peeks_and_feeds() {
-        let mut cache = MonitorCache::default();
+        let mut cache = counted();
         let id = ObjectId::new("C", vec![]);
-        let env = MapEnv::new();
         let mut trace = Trace::new();
-        trace.push(hire_step("ada"));
-        let ada = params(&[("P", "ada")]);
-        let bob = params(&[("P", "bob")]);
+        trace.push(occurs("hire", &["ada"]));
+        let phi = sometime_hired();
+        let quiet = Step::new(vec![], []);
+        let check = |cache: &mut MonitorCache, trace: &Trace, who: &str| {
+            let args = params(&[("P", who)]);
+            let mut env = MapEnv::new();
+            env.bind("P", Value::from(who));
+            cache.check(&id, key("fire", &phi, &args), trace, &quiet, &env, no_state)
+        };
 
         // miss + replay of the committed step, then a peek
-        let v = cache.check(
-            &id,
-            key("fire", &ada),
-            &trace,
-            &Step::new(vec![], []),
-            &env,
-            || Some(sometime_hired("ada")),
-        );
-        assert_eq!(v, Verdict::Holds(true));
+        assert_eq!(check(&mut cache, &trace, "ada"), Verdict::Holds(true));
         assert_eq!(cache.stats().misses, 1);
         assert_eq!(cache.stats().hits, 1);
 
-        // commit advances the monitor; the next check is a pure hit
-        let step = Step::new(vec![], []);
-        cache.on_commit(&id, &step);
-        trace.push(step);
-        let v = cache.check(
-            &id,
-            key("fire", &ada),
-            &trace,
-            &Step::new(vec![], []),
-            &env,
-            || panic!("entry must already exist"),
-        );
-        assert_eq!(v, Verdict::Holds(true));
+        // commit advances the monitor; other values are pure hits on
+        // the same rule, forked or not
+        cache.on_commit(&id, &occurs("hire", &["bob"]));
+        trace.push(occurs("hire", &["bob"]));
+        assert_eq!(check(&mut cache, &trace, "bob"), Verdict::Holds(true));
+        assert_eq!(check(&mut cache, &trace, "cy"), Verdict::Holds(false));
+        assert_eq!(check(&mut cache, &trace, "ada"), Verdict::Holds(true));
         assert_eq!(cache.stats().misses, 1);
-        assert_eq!(cache.stats().hits, 2);
-
-        // a different grounding is a distinct entry with its own state
-        let v = cache.check(
-            &id,
-            key("fire", &bob),
-            &trace,
-            &Step::new(vec![], []),
-            &env,
-            || Some(sometime_hired("bob")),
-        );
-        assert_eq!(v, Verdict::Holds(false));
+        assert_eq!(cache.stats().hits, 4);
     }
 
     #[test]
+    fn rules_are_classified_once() {
+        let recorded = || BTreeSet::from(["budget".to_string()]);
+        let p = params(&[("P", "ada"), ("Q", "bob")]);
+        let none = BTreeMap::new();
+        let class = |f: &Formula, args| match classify(f, args, &recorded()) {
+            Rule::Closed(_) => "closed",
+            Rule::Sliced(_) => "sliced",
+            Rule::Grounded(_) => "grounded",
+            Rule::Outside => "outside",
+            Rule::Poisoned => "poisoned",
+        };
+        let budget = Formula::pred(Term::var("budget"));
+        assert_eq!(class(&Formula::sometime(budget.clone()), &p), "closed");
+        assert_eq!(class(&sometime_hired(), &p), "sliced");
+        let closure = Formula::forall(
+            "X",
+            Term::var("budget"),
+            Formula::sometime(after("fire", vec![Some(Term::var("X"))])),
+        );
+        assert_eq!(class(&closure, &none), "sliced");
+        let pair = Formula::sometime(after(
+            "pair",
+            vec![Some(Term::var("P")), Some(Term::var("Q"))],
+        ));
+        assert_eq!(class(&pair, &p), "grounded");
+        // the parameter inside a predicate under `sometime`
+        let in_pred =
+            Formula::sometime(Formula::pred(Term::eq(Term::var("budget"), Term::var("P"))));
+        assert_eq!(class(&in_pred, &p), "grounded");
+        // ... and inside a quantifier body: no fragment takes it
+        let quant_pred = Formula::forall(
+            "X",
+            Term::var("budget"),
+            Formula::sometime(Formula::pred(Term::eq(Term::var("X"), Term::var("budget")))),
+        );
+        assert_eq!(class(&quant_pred, &none), "outside");
+        assert_eq!(class(&Formula::eventually(budget), &none), "outside");
+    }
+
+    /// Each fallback carries its reason.
+    #[test]
     fn unmonitorable_and_disabled_fall_back() {
-        let mut cache = MonitorCache::default();
+        let mut cache = counted();
         let id = ObjectId::new("C", vec![]);
-        let env = MapEnv::new();
         let trace = Trace::new();
         let vstep = Step::new(vec![], []);
+        let env = MapEnv::new();
         let none = params(&[]);
 
-        let v = cache.check(&id, key("e", &none), &trace, &vstep, &env, || None);
-        assert_eq!(v, Verdict::Fallback);
-        // the unmonitorable verdict is remembered, not re-derived
-        let v = cache.check(&id, key("e", &none), &trace, &vstep, &env, || {
-            panic!("ground must not run again")
+        let future = Formula::eventually(Formula::truth());
+        let v = cache.check(
+            &id,
+            key("e", &future, &none),
+            &trace,
+            &vstep,
+            &env,
+            no_state,
+        );
+        assert_eq!(v, Verdict::Fallback(FallbackReason::OutsideFragment));
+        // the classification is remembered, not re-derived
+        let v = cache.check(&id, key("e", &future, &none), &trace, &vstep, &env, || {
+            panic!("a classified rule must not ask for state again")
         });
-        assert_eq!(v, Verdict::Fallback);
+        assert_eq!(v, Verdict::Fallback(FallbackReason::OutsideFragment));
         assert_eq!(cache.stats().fallbacks, 2);
         assert_eq!(cache.stats().misses, 1);
 
+        // a predicate over state the trace does not record poisons
+        let mut trace = Trace::new();
+        trace.push(vstep.clone());
+        let open = Formula::sometime(Formula::pred(Term::var("budget")));
+        let recorded = || BTreeSet::from(["budget".to_string()]);
+        let v = cache.check(&id, key("f", &open, &none), &trace, &vstep, &env, recorded);
+        assert_eq!(v, Verdict::Fallback(FallbackReason::Poisoned));
+        let v = cache.check(&id, key("f", &open, &none), &trace, &vstep, &env, recorded);
+        assert_eq!(v, Verdict::Fallback(FallbackReason::Poisoned));
+
         cache.set_enabled(false);
-        let v = cache.check(&id, key("f", &none), &trace, &vstep, &env, || {
-            panic!("disabled cache must not ground")
+        let v = cache.check(&id, key("g", &future, &none), &trace, &vstep, &env, || {
+            panic!("disabled cache must not classify")
         });
-        assert_eq!(v, Verdict::Fallback);
+        assert_eq!(v, Verdict::Fallback(FallbackReason::Disabled));
         assert!(!cache.enabled());
     }
 
     #[test]
-    fn death_drops_entries() {
-        let mut cache = MonitorCache::default();
+    fn grounded_rules_overflow_to_capacity() {
+        let mut cache = counted();
         let id = ObjectId::new("C", vec![]);
-        let env = MapEnv::new();
         let trace = Trace::new();
         let vstep = Step::new(vec![], []);
+        let env = MapEnv::new();
+        let pair = Formula::sometime(after(
+            "pair",
+            vec![Some(Term::var("P")), Some(Term::var("Q"))],
+        ));
+        for i in 0..=MAX_ENTRIES_PER_INSTANCE {
+            let (p, q) = (format!("p{i}"), format!("q{i}"));
+            let args = params(&[("P", &p), ("Q", &q)]);
+            let v = cache.check(&id, key("e", &pair, &args), &trace, &vstep, &env, no_state);
+            let want = if i < MAX_ENTRIES_PER_INSTANCE {
+                Verdict::Holds(false)
+            } else {
+                Verdict::Fallback(FallbackReason::Capacity)
+            };
+            assert_eq!(v, want, "tuple {i}");
+        }
+    }
+
+    #[test]
+    fn death_drops_entries() {
+        let mut cache = counted();
+        let id = ObjectId::new("C", vec![]);
+        let trace = Trace::new();
+        let vstep = Step::new(vec![], []);
+        let env = MapEnv::new();
         let none = params(&[]);
-        cache.check(&id, key("e", &none), &trace, &vstep, &env, || {
-            Some(Formula::truth())
-        });
+        let truth = Formula::truth();
+        cache.check(&id, key("e", &truth, &none), &trace, &vstep, &env, no_state);
         cache.on_death(&id);
         assert_eq!(cache.stats().invalidations, 1);
         // recreated from scratch afterwards
-        cache.check(&id, key("e", &none), &trace, &vstep, &env, || {
-            Some(Formula::truth())
-        });
+        cache.check(&id, key("e", &truth, &none), &trace, &vstep, &env, no_state);
         assert_eq!(cache.stats().misses, 2);
+    }
+
+    #[test]
+    fn placeholder_counts_nothing() {
+        let mut cache = MonitorCache::default();
+        let id = ObjectId::new("C", vec![]);
+        let none = params(&[]);
+        let truth = Formula::truth();
+        let v = cache.check(
+            &id,
+            key("e", &truth, &none),
+            &Trace::new(),
+            &Step::new(vec![], []),
+            &MapEnv::new(),
+            no_state,
+        );
+        assert_eq!(v, Verdict::Holds(true));
+        assert_eq!(cache.stats(), MonitorCacheStats::default());
     }
 
     #[test]

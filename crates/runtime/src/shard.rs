@@ -469,7 +469,8 @@ mod tests {
     use troll_data::{Date, Money};
 
     /// The paper's §4 running example (same shape as the base tests),
-    /// including a quantified permission (scan path) and a global
+    /// including a quantified permission (a sliced monitor at commit, a
+    /// scan during speculation) and a global
     /// interaction that calls across instances — and therefore across
     /// shards.
     const COMPANY: &str = r#"
@@ -608,7 +609,7 @@ end global interactions;
             "fire",
             vec![Value::Id(person_id("p7"))],
         ));
-        // quantified permission (scan path): refused while staff hired
+        // quantified permission: refused while staff hired
         traffic.push(ev(dept_id("Books"), "closure", vec![]));
         batches.push(traffic);
 

@@ -130,76 +130,14 @@ impl Enc {
         self.buf.extend_from_slice(s.as_bytes());
     }
 
-    /// Appends a tagged [`Value`].
+    /// Appends a tagged [`Value`] ([`Value::encode_into`]).
     pub fn value(&mut self, v: &Value) {
-        match v {
-            Value::Undefined => self.u8(0),
-            Value::Bool(b) => {
-                self.u8(1);
-                self.u8(u8::from(*b));
-            }
-            Value::Int(i) => {
-                self.u8(2);
-                self.i64(*i);
-            }
-            Value::Str(s) => {
-                self.u8(3);
-                self.str(s);
-            }
-            Value::Date(d) => {
-                self.u8(4);
-                self.i32(d.year());
-                self.u8(d.month());
-                self.u8(d.day());
-            }
-            Value::Money(m) => {
-                self.u8(5);
-                self.i64(m.cents());
-            }
-            Value::Id(id) => {
-                self.u8(6);
-                self.id(id);
-            }
-            Value::Set(xs) => {
-                self.u8(7);
-                self.u32(xs.len() as u32);
-                for x in xs {
-                    self.value(x);
-                }
-            }
-            Value::List(xs) => {
-                self.u8(8);
-                self.u32(xs.len() as u32);
-                for x in xs {
-                    self.value(x);
-                }
-            }
-            Value::Map(m) => {
-                self.u8(9);
-                self.u32(m.len() as u32);
-                for (k, x) in m.iter() {
-                    self.value(k);
-                    self.value(x);
-                }
-            }
-            Value::Tuple(fields) => {
-                self.u8(10);
-                self.u32(fields.len() as u32);
-                for (name, x) in fields {
-                    self.str(name);
-                    self.value(x);
-                }
-            }
-        }
+        v.encode_into(&mut self.buf);
     }
 
     /// Appends an [`ObjectId`] (class + key values).
     pub fn id(&mut self, id: &ObjectId) {
-        self.str(id.class());
-        self.u32(id.key().len() as u32);
-        for v in id.key() {
-            self.value(v);
-        }
+        id.encode_into(&mut self.buf);
     }
 
     /// Appends one runtime [`Occurrence`].

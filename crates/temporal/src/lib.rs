@@ -26,6 +26,9 @@
 //! * [`Monitor`] — an incremental evaluator for the quantifier-free,
 //!   past-only fragment: O(|φ|) per step instead of O(|trace|·|φ|) per
 //!   query. This is the ablation pair of DESIGN.md decision 2.
+//! * [`SlicedMonitor`] — the parametric extension: one monitor for a
+//!   one-variable past formula (`fire(P)`'s permission, or a quantifier
+//!   like `closure`'s) at every value of the variable, by trace slicing.
 //! * [`CompiledFormula`] — the reference scan with every leaf term
 //!   lowered to bytecode once: handles the entire logic (quantifiers
 //!   and future operators included) and is observationally identical
@@ -64,6 +67,7 @@ mod formula;
 mod monitor;
 mod obs;
 mod scan;
+mod sliced;
 mod trace;
 
 pub use error::TemporalError;
@@ -71,6 +75,7 @@ pub use eval::{eval_at, eval_now, eval_now_appended, holds_throughout};
 pub use formula::{EventPattern, Formula};
 pub use monitor::{agree_on_trace, Monitor, MonitorSnapshot};
 pub use scan::CompiledFormula;
+pub use sliced::SlicedMonitor;
 pub use trace::{EventOccurrence, Step, Trace};
 
 /// Convenience result alias.

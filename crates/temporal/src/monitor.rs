@@ -11,7 +11,9 @@
 //! same values at every step — e.g. permission parameters). Formulas
 //! outside the fragment are rejected at construction; callers fall back
 //! to the reference evaluator. DESIGN.md decision 2 benchmarks the two
-//! against each other (`bench_permission_check`).
+//! against each other (`bench_permission_check`). Formulas with one
+//! parameter or one top-level quantifier have a monitor for every value
+//! at once: [`crate::SlicedMonitor`].
 
 use crate::eval::{eval_at, eval_now};
 use crate::scan::{pattern_matches, CompiledPattern};

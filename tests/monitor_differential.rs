@@ -6,12 +6,13 @@
 
 use proptest::prelude::*;
 use troll::data::{ObjectId, Value};
+use troll::runtime::MonitorCacheStats;
 use troll::System;
 
 /// A DEPT-flavoured class tailored to stress every cache path:
-/// * `fire`'s permission is monitorable after grounding `P`;
-/// * `closure`'s quantified permission is outside the fragment and
-///   must fall back to the scan evaluator;
+/// * `fire`'s permission is one sliced monitor over `P`;
+/// * `closure`'s quantified permission is a sliced monitor folded over
+///   `hired_ever` at check time;
 /// * the static constraint is a cacheable recurring check and refuses
 ///   over-hiring, exercising constraint-driven rollback;
 /// * `swap` calls `fire; hire` synchronously, so one refused sub-event
@@ -49,29 +50,43 @@ object class DEPT
 end object class DEPT;
 "#;
 
-fn person(n: u8) -> Value {
+/// [`SPEC`] with `closure` guarded by an `exists` permission: some
+/// person ever hired has been fired.
+fn exists_spec() -> String {
+    SPEC.replace("for all(P in hired_ever", "exists(P in hired_ever")
+}
+
+/// Persons the wide prefix hires and fires before the random script:
+/// more than the cache's 128 per-instance grounded entries.
+const WIDE: u16 = 140;
+
+fn person(n: u16) -> Value {
     Value::Id(ObjectId::new("PERSON", vec![Value::from(format!("p{n}"))]))
 }
 
 #[derive(Debug, Clone)]
 enum Op {
-    Hire(u8),
-    Fire(u8),
-    Swap(u8, u8),
+    Hire(u16),
+    Fire(u16),
+    Swap(u16, u16),
     Closure,
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (0u8..5).prop_map(Op::Hire),
-        (0u8..5).prop_map(Op::Fire),
-        (0u8..5, 0u8..5).prop_map(|(a, b)| Op::Swap(a, b)),
+        (0u16..5).prop_map(Op::Hire),
+        (0u16..5).prop_map(Op::Fire),
+        (0u16..5, 0u16..5).prop_map(|(a, b)| Op::Swap(a, b)),
         Just(Op::Closure),
     ]
 }
 
 fn fresh_dept(cache_enabled: bool) -> (troll::runtime::ObjectBase, ObjectId) {
-    let system = System::load_str(SPEC).unwrap();
+    fresh_dept_of(SPEC, cache_enabled)
+}
+
+fn fresh_dept_of(spec: &str, cache_enabled: bool) -> (troll::runtime::ObjectBase, ObjectId) {
+    let system = System::load_str(spec).unwrap();
     let mut ob = system.object_base().unwrap();
     ob.set_monitor_cache_enabled(cache_enabled);
     let id = ob
@@ -80,65 +95,103 @@ fn fresh_dept(cache_enabled: bool) -> (troll::runtime::ObjectBase, ObjectId) {
     (ob, id)
 }
 
+/// Lock-step execution of the same script against a cached and an
+/// uncached object base of `spec`: every decision, error message,
+/// observation and trace length must match, whatever mixture of
+/// grants, permission refusals, constraint violations and multi-event
+/// rollbacks the script produces. Returns the cached base's stats.
+fn lockstep(spec: &str, ops: &[Op]) -> Result<MonitorCacheStats, TestCaseError> {
+    let (mut cached, id) = fresh_dept_of(spec, true);
+    let (mut scan, id_s) = fresh_dept_of(spec, false);
+    prop_assert_eq!(&id, &id_s);
+
+    for op in ops {
+        let run = |ob: &mut troll::runtime::ObjectBase| match op {
+            Op::Hire(n) => ob.execute(&id, "hire", vec![person(*n)]),
+            Op::Fire(n) => ob.execute(&id, "fire", vec![person(*n)]),
+            Op::Swap(a, b) => ob.execute(&id, "swap", vec![person(*a), person(*b)]),
+            Op::Closure => ob.execute(&id, "closure", vec![]),
+        };
+        let rc = run(&mut cached);
+        let rs = run(&mut scan);
+        match (&rc, &rs) {
+            (Ok(a), Ok(b)) => prop_assert_eq!(&a.occurrences, &b.occurrences),
+            (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
+            _ => prop_assert!(
+                false,
+                "decision divergence on {:?}: cached={:?} scan={:?}",
+                op,
+                rc,
+                rs
+            ),
+        }
+        for attr in ["employees", "hired_ever"] {
+            prop_assert_eq!(
+                cached.attribute(&id, attr).unwrap(),
+                scan.attribute(&id, attr).unwrap(),
+                "attribute {} diverged after {:?}",
+                attr,
+                op
+            );
+        }
+        let (ci, si) = (cached.instance(&id).unwrap(), scan.instance(&id).unwrap());
+        prop_assert_eq!(ci.trace().len(), si.trace().len());
+        prop_assert_eq!(ci.is_alive(), si.is_alive());
+        if !ci.is_alive() {
+            break;
+        }
+    }
+    // the scan base never consults monitors; the cached one decides
+    // every check through the cache (monitor answer or counted
+    // fallback)
+    let (cs, ss) = (cached.monitor_cache_stats(), scan.monitor_cache_stats());
+    prop_assert_eq!(ss.hits, 0);
+    prop_assert!(cs.hits + cs.fallbacks > 0);
+    Ok(cs)
+}
+
+/// Hires and fires [`WIDE`] distinct persons (ids from 100 up, apart
+/// from the random scripts' 0..5), then runs `ops`.
+fn wide(ops: Vec<Op>) -> Vec<Op> {
+    (100..100 + WIDE)
+        .flat_map(|n| [Op::Hire(n), Op::Fire(n)])
+        .chain(ops)
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Lock-step execution of the same random script against a cached
-    /// and an uncached object base: every decision, error message,
-    /// observation and trace length must match, whatever mixture of
-    /// grants, permission refusals, constraint violations and
-    /// multi-event rollbacks the script produces.
+    /// Random scripts decide identically with the cache on and off.
     #[test]
     fn cache_and_scan_agree_on_random_scripts(ops in proptest::collection::vec(arb_op(), 1..50)) {
-        let (mut cached, id) = fresh_dept(true);
-        let (mut scan, id_s) = fresh_dept(false);
-        prop_assert_eq!(&id, &id_s);
+        lockstep(SPEC, &ops)?;
+    }
 
-        for op in ops {
-            let run = |ob: &mut troll::runtime::ObjectBase| match &op {
-                Op::Hire(n) => ob.execute(&id, "hire", vec![person(*n)]),
-                Op::Fire(n) => ob.execute(&id, "fire", vec![person(*n)]),
-                Op::Swap(a, b) => ob.execute(&id, "swap", vec![person(*a), person(*b)]),
-                Op::Closure => ob.execute(&id, "closure", vec![]),
-            };
-            let rc = run(&mut cached);
-            let rs = run(&mut scan);
-            match (&rc, &rs) {
-                (Ok(a), Ok(b)) => prop_assert_eq!(&a.occurrences, &b.occurrences),
-                (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
-                _ => prop_assert!(
-                    false,
-                    "decision divergence on {:?}: cached={:?} scan={:?}",
-                    op, rc, rs
-                ),
-            }
-            for attr in ["employees", "hired_ever"] {
-                prop_assert_eq!(
-                    cached.attribute(&id, attr).unwrap(),
-                    scan.attribute(&id, attr).unwrap(),
-                    "attribute {} diverged after {:?}", attr, op
-                );
-            }
-            let (ci, si) = (cached.instance(&id).unwrap(), scan.instance(&id).unwrap());
-            prop_assert_eq!(ci.trace().len(), si.trace().len());
-            prop_assert_eq!(ci.is_alive(), si.is_alive());
-            if !ci.is_alive() {
-                break;
-            }
-        }
-        // the scan base never consults monitors; the cached one decides
-        // every check through the cache (monitor answer or counted
-        // fallback)
-        let (cs, ss) = (cached.monitor_cache_stats(), scan.monitor_cache_stats());
-        prop_assert_eq!(ss.hits, 0);
-        prop_assert!(cs.hits + cs.fallbacks > 0);
+    /// The same after more distinct persons than the cache's per-instance
+    /// capacity for grounded monitors: sliced monitors have no such cap,
+    /// so nothing falls back.
+    #[test]
+    fn cache_and_scan_agree_past_capacity(ops in proptest::collection::vec(arb_op(), 1..30)) {
+        let stats = lockstep(SPEC, &wide(ops))?;
+        prop_assert_eq!(stats.fallbacks, 0);
+    }
+
+    /// The same with `closure` guarded by an `exists` permission.
+    #[test]
+    fn cache_and_scan_agree_with_exists_permission(
+        ops in proptest::collection::vec(arb_op(), 1..50)
+    ) {
+        let stats = lockstep(&exists_spec(), &ops)?;
+        prop_assert_eq!(stats.fallbacks, 0);
     }
 }
 
 /// A scripted session pinning down the cache's observable behaviour:
 /// monitorable checks are answered by monitors (hits), the quantified
-/// `closure` permission demonstrably falls back to the scan path, and
-/// death drops the instance's entries.
+/// `closure` permission is answered by its sliced monitor rather than
+/// falling back to the scan path, and death drops the instance's
+/// entries.
 #[test]
 fn scripted_session_exercises_hits_and_fallbacks() {
     let (mut ob, id) = fresh_dept(true);
@@ -165,15 +218,19 @@ fn scripted_session_exercises_hits_and_fallbacks() {
     assert!(ob.execute(&id, "fire", vec![person(1)]).is_err());
     assert!(ob.execute(&id, "fire", vec![person(0)]).is_ok());
 
-    // the quantified closure permission is outside the monitorable
-    // fragment: it must fall back (and here succeeds, killing the
-    // instance and invalidating its entries)
+    // the quantified closure permission is a sliced monitor: a hit
+    // with no fallback (and here it succeeds, killing the instance and
+    // invalidating its entries)
     let before_closure = ob.monitor_cache_stats();
     ob.execute(&id, "closure", vec![]).unwrap();
     let after_closure = ob.monitor_cache_stats();
     assert!(
-        after_closure.fallbacks > before_closure.fallbacks,
-        "quantified permission must fall back to the scan evaluator"
+        after_closure.hits > before_closure.hits,
+        "quantified permission must be answered by its monitor"
+    );
+    assert_eq!(
+        after_closure.fallbacks, before_closure.fallbacks,
+        "quantified permission must not fall back to the scan evaluator"
     );
     assert!(
         after_closure.invalidations > before_closure.invalidations,
