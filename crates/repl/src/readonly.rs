@@ -137,9 +137,10 @@ fn answer(shared: &Arc<FollowerShared>, req: Request) -> Response {
             let slot = slot.lock().expect("world slot");
             let f = slot.store.figures();
             Response::Ok(format!(
-                "world {world}: steps={} attempts={} appends={} fsyncs={} wal_bytes={} since_snapshot={} compactions={}",
+                "world {world}: steps={} attempts={} {} appends={} fsyncs={} wal_bytes={} since_snapshot={} compactions={}",
                 slot.base.steps_executed(),
                 slot.base.step_attempts(),
+                script::monitor_cache_fields(&slot.base),
                 f.appends,
                 f.fsyncs,
                 f.wal_bytes,

@@ -262,6 +262,23 @@ pub enum Query<'a> {
     },
 }
 
+/// The fields a per-world `stats` reply uses to name the world's
+/// monitor-cache configuration and counters, shared by the server and
+/// the follower: `monitor_cache=on|off monitor_hits=H monitor_fallbacks=F`.
+pub fn monitor_cache_fields(ob: &ObjectBase) -> String {
+    let stats = ob.monitor_cache_stats();
+    format!(
+        "monitor_cache={} monitor_hits={} monitor_fallbacks={}",
+        if ob.monitor_cache_enabled() {
+            "on"
+        } else {
+            "off"
+        },
+        stats.hits,
+        stats.fallbacks
+    )
+}
+
 /// Answers a [`Query`] against a shared world: the one read path behind
 /// [`run_command`]'s `show`/`view`, the server's `query-attr` /
 /// `query-view` and the follower's read-only port.

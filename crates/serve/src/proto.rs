@@ -12,7 +12,7 @@
 //! ← {"ok":true,"text":"|DEPT|(\"Toys\").employees = {}"}
 //! → {"op":"query-view","world":"w1","interface":"SAL_EMPLOYEE"}
 //! → {"op":"stats"}            -- server-wide counters
-//! → {"op":"stats","world":"w1"}
+//! → {"op":"stats","world":"w1"} -- steps, attempts, monitor cache, store
 //! → {"op":"shutdown"}
 //! ```
 //!

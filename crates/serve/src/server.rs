@@ -12,8 +12,8 @@
 //! [`script::run_command`] under the world's write lock — the one step
 //! path `animate` takes; `query-attr`/`query-view` are answered under
 //! the read lock by [`script::query`], the typed read the follower's
-//! read-only port shares. Worlds keep the monitor cache off (see
-//! `build_world`).
+//! read-only port shares. Every world checks its permissions through
+//! the monitor cache, as `animate`, recovery and the follower do.
 //!
 //! Responses flow back to the loop thread over a completion list plus
 //! a socketpair waker byte; per-connection sequence numbers reassemble
@@ -952,10 +952,11 @@ fn process(shared: &Shared, entry: &WorldEntry, req: Request) -> Processed {
             match slot.as_ref() {
                 Some(state) => {
                     let mut text = format!(
-                        "world {}: steps={} attempts={}",
+                        "world {}: steps={} attempts={} {}",
                         entry.name,
                         state.base.steps_executed(),
-                        state.base.step_attempts()
+                        state.base.step_attempts(),
+                        script::monitor_cache_fields(&state.base)
                     );
                     if let Some(store) = &state.store {
                         let f = store.lock().expect("store lock").figures();
@@ -1260,15 +1261,11 @@ fn built_worlds(shared: &Shared) -> String {
     names.join(" ")
 }
 
-/// Spawns (in-memory) or opens/recovers (durable) one world, with the
-/// monitor cache off: every permission check takes the history-scan
-/// path, which answers identically (the cache's safety argument). On
-/// the served workloads the per-world cache costs more than it saves:
-/// with it on, `serve_churn` stepped about a fifth slower and both
-/// served workloads held about a tenth more resident memory (DESIGN
-/// §4j has the numbers).
+/// Spawns (in-memory) or opens/recovers (durable) one world. A
+/// recovered world rebuilds its monitors lazily, on each rule's first
+/// check.
 fn build_world(shared: &Shared, name: &str) -> Result<WorldState, String> {
-    let mut state = match &shared.durable {
+    Ok(match &shared.durable {
         None => shared
             .model
             .spawn()
@@ -1286,9 +1283,7 @@ fn build_world(shared: &Shared, name: &str) -> Result<WorldState, String> {
                 store: Some(store),
             }
         }
-    };
-    state.base.set_monitor_cache_enabled(false);
-    Ok(state)
+    })
 }
 
 fn global_stats(shared: &Shared) -> String {

@@ -313,6 +313,15 @@ fn follower_serves_reads_and_refuses_writes() {
     for (read, line) in queries("w") {
         assert_eq!(ro.round_trip(&read), client.round_trip(&read), "{line}");
     }
+    // the follower's world runs the monitor cache, like the primary's
+    match ro.round_trip(&Request::Stats {
+        world: Some("w".to_string()),
+    }) {
+        Response::Ok(stats) => {
+            assert!(stats.contains(" monitor_cache=on monitor_hits="), "{stats}")
+        }
+        other => panic!("stats failed: {other:?}"),
+    }
 
     let line = format!("{}\n", query.to_json());
     let (head, tail) = line.split_at(line.len() / 2);

@@ -22,6 +22,15 @@ fn base() -> ObjectBase {
         .unwrap()
 }
 
+/// The sequential oracle served worlds are compared with: a world whose
+/// every permission check runs the reference history scan, so the
+/// comparison crosses the server's monitored checks with the scan.
+fn scan_oracle() -> ObjectBase {
+    let mut ob = base();
+    ob.set_monitor_cache_enabled(false);
+    ob
+}
+
 /// A tiny synchronous protocol client.
 struct Client {
     reader: BufReader<TcpStream>,
@@ -90,27 +99,12 @@ fn served_world_matches_sequential_animate() {
         r#"exec |DEPT|("Toys") closure ()"#,
         "tick",
     ];
-    let mut oracle = base();
-    let expected: Vec<Result<String, String>> = lines
-        .iter()
-        .map(|l| run_command(&mut oracle, l).map(|o| o.to_string()))
-        .collect();
+    let mut oracle = scan_oracle();
 
     let spawned = spawn_server(ServeOptions::default());
     let mut client = Client::connect(spawned.addr);
-    assert_eq!(
-        client.round_trip(&Request::Open {
-            world: "w".to_string()
-        }),
-        Response::Ok("opened w".to_string())
-    );
-    for (line, want) in lines.iter().zip(&expected) {
-        let got = client.round_trip(&submit("w", line));
-        match want {
-            Ok(text) => assert_eq!(got, Response::Ok(text.clone()), "line: {line}"),
-            Err(e) => assert_eq!(got, Response::Err(e.clone()), "line: {line}"),
-        }
-    }
+    open_world(&mut client, "w");
+    submit_like_oracle(&mut client, "w", &lines, &mut oracle);
     // queries take the read-lock path; each answers exactly as the
     // matching `show`/`view` script line, failures included
     for (query, line) in queries("w") {
@@ -123,6 +117,155 @@ fn served_world_matches_sequential_animate() {
     }
     client.shutdown();
     spawned.join.join().unwrap().unwrap();
+}
+
+fn open_world(client: &mut Client, world: &str) {
+    assert_eq!(
+        client.round_trip(&Request::Open {
+            world: world.to_string()
+        }),
+        Response::Ok(format!("opened {world}"))
+    );
+}
+
+/// Submits every line to `world` and asserts each answer is byte-equal
+/// to the oracle's answer to the same line: ok texts and refusals alike.
+fn submit_like_oracle(
+    client: &mut Client,
+    world: &str,
+    lines: &[impl AsRef<str>],
+    oracle: &mut ObjectBase,
+) {
+    for line in lines {
+        let line = line.as_ref();
+        let got = client.round_trip(&submit(world, line));
+        let want = match run_command(oracle, line) {
+            Ok(outcome) => Response::Ok(outcome.to_string()),
+            Err(e) => Response::Err(e),
+        };
+        assert_eq!(got, want, "line: {line}");
+    }
+}
+
+/// A department past the grounded monitors' 128-entry capacity: 140
+/// persons hired, all but the last fired, then a refused `fire` of a
+/// never-hired person, a refused `closure` (the last person is still
+/// employed) and, once the last is fired, a granted `closure`.
+fn wide_department() -> Vec<String> {
+    const PERSONS: usize = 140;
+    let mut lines = vec![r#"birth DEPT ("Toys") establishment (date(1991,10,16))"#.to_string()];
+    lines.extend((0..PERSONS).map(|i| format!(r#"exec |DEPT|("Toys") hire (|PERSON|("p{i}"))"#)));
+    lines.extend(
+        (0..PERSONS - 1).map(|i| format!(r#"exec |DEPT|("Toys") fire (|PERSON|("p{i}"))"#)),
+    );
+    lines.extend([
+        r#"show |DEPT|("Toys") employees"#.to_string(),
+        r#"exec |DEPT|("Toys") fire (|PERSON|("ghost"))"#.to_string(),
+        r#"exec |DEPT|("Toys") closure ()"#.to_string(),
+        format!(r#"exec |DEPT|("Toys") fire (|PERSON|("p{}"))"#, PERSONS - 1),
+        r#"exec |DEPT|("Toys") closure ()"#.to_string(),
+    ]);
+    lines
+}
+
+/// A world's `stats` reply, which must start with its step counters.
+fn world_stats(client: &mut Client, world: &str) -> String {
+    match client.round_trip(&Request::Stats {
+        world: Some(world.to_string()),
+    }) {
+        Response::Ok(stats) => {
+            assert!(
+                stats.starts_with(&format!("world {world}: steps=")),
+                "{stats}"
+            );
+            stats
+        }
+        other => panic!("stats failed: {other:?}"),
+    }
+}
+
+/// The value of a `key=` field of a `stats` reply.
+fn stats_field<'a>(stats: &'a str, key: &str) -> &'a str {
+    stats
+        .split_whitespace()
+        .find_map(|kv| kv.strip_prefix(key)?.strip_prefix('='))
+        .unwrap_or_else(|| panic!("no `{key}=` in {stats}"))
+}
+
+/// Asserts a world's `stats` reports the monitor cache on, with every
+/// permission check answered by a monitor, none by the history scan.
+fn assert_monitored(stats: &str) {
+    assert_eq!(stats_field(stats, "monitor_cache"), "on", "{stats}");
+    assert_eq!(stats_field(stats, "monitor_fallbacks"), "0", "{stats}");
+    let hits: u64 = stats_field(stats, "monitor_hits").parse().unwrap();
+    assert!(hits > 0, "{stats}");
+}
+
+/// Served worlds check permissions through the monitor cache, past the
+/// grounded capacity and for the quantified `closure`, and answer
+/// exactly as the history scan does; `stats` reports the cache and its
+/// counters right after `attempts=`.
+#[test]
+fn served_permissions_match_the_scan_past_capacity() {
+    let lines = wide_department();
+    let mut oracle = scan_oracle();
+    let spawned = spawn_server(ServeOptions::default());
+    let mut client = Client::connect(spawned.addr);
+    open_world(&mut client, "w");
+    submit_like_oracle(&mut client, "w", &lines, &mut oracle);
+
+    let stats = world_stats(&mut client, "w");
+    let attempts = stats_field(&stats, "attempts");
+    assert!(
+        stats.contains(&format!(
+            "attempts={attempts} monitor_cache=on monitor_hits="
+        )),
+        "{stats}"
+    );
+    assert_monitored(&stats);
+    // the oracle, by contrast, answered every check by the scan
+    assert_eq!(oracle.monitor_cache_stats().hits, 0);
+    assert!(oracle.monitor_cache_stats().fallbacks > 0);
+    client.shutdown();
+    spawned.join.join().unwrap().unwrap();
+}
+
+/// The same script on a durable world, with the server restarted
+/// halfway: the second half runs on a recovered world whose monitors
+/// are rebuilt lazily from the recovered history, and still answers as
+/// the scan does.
+#[test]
+fn recovered_world_permissions_match_the_scan() {
+    let dir = std::env::temp_dir().join(format!("troll-serve-monitored-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let opts = || ServeOptions {
+        durable: Some(dir.clone()),
+        ..Default::default()
+    };
+    let lines = wide_department();
+    let (first, second) = lines.split_at(lines.len() / 2);
+    let mut oracle = scan_oracle();
+
+    let spawned = spawn_server(opts());
+    let mut client = Client::connect(spawned.addr);
+    open_world(&mut client, "w");
+    submit_like_oracle(&mut client, "w", first, &mut oracle);
+    client.shutdown();
+    spawned.join.join().unwrap().unwrap();
+
+    let spawned = spawn_server(opts());
+    let mut client = Client::connect(spawned.addr);
+    open_world(&mut client, "w");
+    let stats = world_stats(&mut client, "w");
+    assert!(
+        stats.contains(" monitor_cache=on monitor_hits=0 monitor_fallbacks=0 appends=0"),
+        "nothing checked yet: {stats}"
+    );
+    submit_like_oracle(&mut client, "w", second, &mut oracle);
+    assert_monitored(&world_stats(&mut client, "w"));
+    client.shutdown();
+    spawned.join.join().unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A request arriving in byte-sized dribbles parses once its newline
