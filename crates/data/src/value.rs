@@ -2,6 +2,7 @@
 
 use crate::{Date, Money, PList, PMap, PSet, Sort, TupleField};
 use std::fmt;
+use std::sync::Arc;
 
 /// An object identity value.
 ///
@@ -12,6 +13,12 @@ use std::fmt;
 /// database keys" (e.g. `PERSON` is identified by `name: string` and
 /// `birthdate: date`). An [`ObjectId`] is therefore a class name plus a
 /// key tuple.
+///
+/// An identity is a shared handle: cloning one (into a set, an event
+/// argument, a history step or a binding) bumps a reference count and
+/// copies no string or key. Equality, order, hashing, `Debug`,
+/// `Display` and the encoding are those of the `(class, key)` pair
+/// (the `Arc` delegates to its contents).
 ///
 /// # Example
 ///
@@ -25,8 +32,12 @@ use std::fmt;
 /// assert_eq!(p.to_string(), "PERSON(\"E. Codd\", 1923-08-19)");
 /// # Ok::<(), troll_data::DataError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ObjectId {
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct ObjectId(Arc<IdRepr>);
+
+/// The shared contents of an [`ObjectId`].
+#[derive(PartialEq, Eq, PartialOrd, Ord, Hash)]
+struct IdRepr {
     class: String,
     key: Vec<Value>,
 }
@@ -34,10 +45,10 @@ pub struct ObjectId {
 impl ObjectId {
     /// Creates an identity in class `class` with the given key values.
     pub fn new(class: impl Into<String>, key: Vec<Value>) -> Self {
-        ObjectId {
+        ObjectId(Arc::new(IdRepr {
             class: class.into(),
             key,
-        }
+        }))
     }
 
     /// Creates an identity with a single key value.
@@ -47,12 +58,12 @@ impl ObjectId {
 
     /// The class this identity belongs to.
     pub fn class(&self) -> &str {
-        &self.class
+        &self.0.class
     }
 
     /// The key values identifying the object within its class.
     pub fn key(&self) -> &[Value] {
-        &self.key
+        &self.0.key
     }
 
     /// Re-tags this identity with a different class name, keeping the key.
@@ -63,20 +74,27 @@ impl ObjectId {
     /// morphisms preserve the identity, so retagging is only sound along
     /// such morphisms — the kernel crate enforces that.
     pub fn retag(&self, class: impl Into<String>) -> ObjectId {
-        ObjectId {
-            class: class.into(),
-            key: self.key.clone(),
-        }
+        ObjectId::new(class, self.0.key.clone())
     }
 
     /// Appends the identity's binary encoding to `out`: the class name,
     /// then the key values (see [`Value::encode_into`]).
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        put_str(out, &self.class);
-        put_len(out, self.key.len());
-        for v in &self.key {
+        put_str(out, &self.0.class);
+        put_len(out, self.0.key.len());
+        for v in &self.0.key {
             v.encode_into(out);
         }
+    }
+}
+
+impl fmt::Debug for ObjectId {
+    /// The form a derived impl on `{ class, key }` prints.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ObjectId")
+            .field("class", &self.0.class)
+            .field("key", &self.0.key)
+            .finish()
     }
 }
 
@@ -93,14 +111,41 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
 
 impl fmt::Display for ObjectId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}(", self.class)?;
-        for (i, v) in self.key.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{v}")?;
+        f.write_str(&self.0.class)?;
+        f.write_str("(")?;
+        write_separated(f, &self.0.key, ", ", |f, v| fmt::Display::fmt(v, f))?;
+        f.write_str(")")
+    }
+}
+
+/// Writes `items` with `sep` between them.
+fn write_separated<T>(
+    f: &mut fmt::Formatter<'_>,
+    items: impl IntoIterator<Item = T>,
+    sep: &str,
+    mut item: impl FnMut(&mut fmt::Formatter<'_>, T) -> fmt::Result,
+) -> fmt::Result {
+    for (i, x) in items.into_iter().enumerate() {
+        if i > 0 {
+            f.write_str(sep)?;
         }
-        write!(f, ")")
+        item(f, x)?;
+    }
+    Ok(())
+}
+
+/// Writes `s` exactly as `{s:?}` does. A string of printable ASCII
+/// without `"` or `\` needs no escape, so it is written between quotes
+/// directly; any other string goes through the `Debug` escaper.
+fn write_quoted(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    if s.bytes()
+        .all(|b| (b' '..=b'~').contains(&b) && b != b'"' && b != b'\\')
+    {
+        f.write_str("\"")?;
+        f.write_str(s)?;
+        f.write_str("\"")
+    } else {
+        fmt::Debug::fmt(s, f)
     }
 }
 
@@ -471,53 +516,42 @@ impl Value {
 
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let show = |f: &mut fmt::Formatter<'_>, v: &Value| fmt::Display::fmt(v, f);
         match self {
-            Value::Undefined => write!(f, "undefined"),
-            Value::Bool(b) => write!(f, "{b}"),
-            Value::Int(i) => write!(f, "{i}"),
-            Value::Str(s) => write!(f, "{s:?}"),
-            Value::Date(d) => write!(f, "{d}"),
-            Value::Money(m) => write!(f, "{m}"),
-            Value::Id(id) => write!(f, "{id}"),
+            Value::Undefined => f.write_str("undefined"),
+            Value::Bool(b) => f.write_str(if *b { "true" } else { "false" }),
+            Value::Int(i) => fmt::Display::fmt(i, f),
+            Value::Str(s) => write_quoted(f, s),
+            Value::Date(d) => fmt::Display::fmt(d, f),
+            Value::Money(m) => fmt::Display::fmt(m, f),
+            Value::Id(id) => fmt::Display::fmt(id, f),
             Value::Set(elems) => {
-                write!(f, "{{")?;
-                for (i, e) in elems.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{e}")?;
-                }
-                write!(f, "}}")
+                f.write_str("{")?;
+                write_separated(f, elems.iter(), ", ", show)?;
+                f.write_str("}")
             }
             Value::List(elems) => {
-                write!(f, "[")?;
-                for (i, e) in elems.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{e}")?;
-                }
-                write!(f, "]")
+                f.write_str("[")?;
+                write_separated(f, elems.iter(), ", ", show)?;
+                f.write_str("]")
             }
             Value::Map(pairs) => {
-                write!(f, "map(")?;
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{k} -> {v}")?;
-                }
-                write!(f, ")")
+                f.write_str("map(")?;
+                write_separated(f, pairs.iter(), ", ", |f, (k, v)| {
+                    fmt::Display::fmt(k, f)?;
+                    f.write_str(" -> ")?;
+                    fmt::Display::fmt(v, f)
+                })?;
+                f.write_str(")")
             }
             Value::Tuple(fields) => {
-                write!(f, "tuple(")?;
-                for (i, (n, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{n}:{v}")?;
-                }
-                write!(f, ")")
+                f.write_str("tuple(")?;
+                write_separated(f, fields, ", ", |f, (n, v)| {
+                    f.write_str(n)?;
+                    f.write_str(":")?;
+                    fmt::Display::fmt(v, f)
+                })?;
+                f.write_str(")")
             }
         }
     }
@@ -616,6 +650,105 @@ mod tests {
         assert_eq!(Value::Id(person("alice")).to_string(), "PERSON(\"alice\")");
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    fn encoded(v: &Value) -> String {
+        let mut out = Vec::new();
+        v.encode_into(&mut out);
+        hex(&out)
+    }
+
+    /// WAL records and snapshots store values in this encoding, so these
+    /// bytes may only change together with the on-disk format.
+    #[test]
+    fn encoding_bytes_are_pinned() {
+        // class "PERSON", one key value: the string "q1"
+        const Q1: &str = concat!("06000000504552534f4e", "01000000", "03", "020000007131");
+        let mut id = Vec::new();
+        person("q1").encode_into(&mut id);
+        assert_eq!(hex(&id), Q1);
+        assert_eq!(encoded(&Value::Id(person("q1"))), format!("06{Q1}"));
+        assert_eq!(encoded(&Value::from("a\"b")), "0303000000612262");
+        assert_eq!(
+            encoded(&Value::set_of(vec![
+                Value::Id(person("b")),
+                Value::Id(person("a")),
+            ])),
+            concat!(
+                "0702000000",
+                "0606000000504552534f4e01000000030100000061",
+                "0606000000504552534f4e01000000030100000062",
+            )
+        );
+        assert_eq!(
+            encoded(&Value::tuple_of(vec![
+                ("esalary", Value::from(100)),
+                ("ename", Value::from("a")),
+            ])),
+            concat!(
+                "0a02000000",
+                "05000000656e616d65",
+                "030100000061",
+                "070000006573616c617279",
+                "026400000000000000",
+            )
+        );
+    }
+
+    #[test]
+    fn identity_is_one_pointer() {
+        assert_eq!(
+            std::mem::size_of::<ObjectId>(),
+            std::mem::size_of::<usize>()
+        );
+    }
+
+    #[test]
+    fn identity_debug_names_its_fields() {
+        assert_eq!(
+            format!("{:?}", person("a")),
+            "ObjectId { class: \"PERSON\", key: [Str(\"a\")] }"
+        );
+        assert_eq!(
+            format!("{:#?}", person("a")),
+            "ObjectId {\n    class: \"PERSON\",\n    key: [\n        Str(\n            \"a\",\n        ),\n    ],\n}"
+        );
+    }
+
+    #[test]
+    fn shared_and_rebuilt_identities_agree() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let hash = |id: &ObjectId| {
+            let mut h = DefaultHasher::new();
+            id.hash(&mut h);
+            h.finish()
+        };
+        let a = person("a");
+        let shared = a.clone();
+        let rebuilt = person("a");
+        assert_eq!(a, shared);
+        assert_eq!(a, rebuilt);
+        assert_eq!(a.cmp(&rebuilt), std::cmp::Ordering::Equal);
+        assert_eq!(hash(&a), hash(&rebuilt));
+        assert!(a < person("b"));
+        assert!(person("b") > shared);
+    }
+
+    fn arb_char() -> impl Strategy<Value = char> {
+        let code = |c: u32| char::from_u32(c).unwrap_or('\u{fffd}');
+        prop_oneof![
+            (0x20u32..0x7f).prop_map(code),
+            (0u32..0x20).prop_map(code),
+            Just('"'),
+            Just('\\'),
+            Just('\u{7f}'),
+            (0x80u32..0x11_0000).prop_map(code),
+        ]
+    }
+
     fn arb_scalar() -> impl Strategy<Value = Value> {
         prop_oneof![
             any::<bool>().prop_map(Value::from),
@@ -644,6 +777,14 @@ mod tests {
             elems.reverse();
             let s2 = Value::set_of(elems);
             prop_assert_eq!(s1, s2);
+        }
+
+        #[test]
+        fn strings_display_as_debug(s in prop_oneof![
+            "[ -~]{0,12}",
+            proptest::collection::vec(arb_char(), 0..12).prop_map(String::from_iter),
+        ]) {
+            prop_assert_eq!(Value::Str(s.clone()).to_string(), format!("{s:?}"));
         }
 
         #[test]

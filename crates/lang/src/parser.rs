@@ -108,12 +108,11 @@ impl Parser {
         &self.tokens[(self.pos + offset).min(self.tokens.len() - 1)]
     }
 
-    fn advance(&mut self) -> Token {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
+    /// Steps past the current token (never past the final `Eof`).
+    fn advance(&mut self) {
         if self.pos < self.tokens.len() - 1 {
             self.pos += 1;
         }
-        t
     }
 
     fn err<T>(&self, message: impl Into<String>) -> Result<T> {
@@ -121,9 +120,10 @@ impl Parser {
         Err(LangError::new(t.line, t.column, message))
     }
 
-    fn expect(&mut self, kind: &TokenKind) -> Result<Token> {
+    fn expect(&mut self, kind: &TokenKind) -> Result<()> {
         if &self.peek().kind == kind {
-            Ok(self.advance())
+            self.advance();
+            Ok(())
         } else {
             self.err(format!("expected {kind}, found {}", self.peek().kind))
         }
@@ -142,8 +142,9 @@ impl Parser {
     }
 
     fn expect_ident(&mut self) -> Result<String> {
-        match self.peek().kind.clone() {
+        match &self.peek().kind {
             TokenKind::Ident(s) => {
+                let s = s.clone();
                 self.advance();
                 Ok(s)
             }
@@ -367,16 +368,14 @@ impl Parser {
                             return self.err("unterminated instantiation");
                         }
                         TokenKind::Comma | TokenKind::Semi if depth == 0 => break,
-                        TokenKind::LParen | TokenKind::LBracket | TokenKind::LBrace => {
-                            depth += 1;
-                            replacement.push(self.advance());
-                        }
+                        TokenKind::LParen | TokenKind::LBracket | TokenKind::LBrace => depth += 1,
                         TokenKind::RParen | TokenKind::RBracket | TokenKind::RBrace => {
                             depth = depth.saturating_sub(1);
-                            replacement.push(self.advance());
                         }
-                        _ => replacement.push(self.advance()),
+                        _ => {}
                     }
+                    replacement.push(self.peek().clone());
+                    self.advance();
                 }
                 substitutions.push((key, replacement));
                 if !self.eat(&TokenKind::Comma) {

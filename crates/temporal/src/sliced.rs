@@ -32,7 +32,7 @@
 //! read from the check-time environment exactly as the scan reads it.
 
 use crate::{EventPattern, Formula, Result, Step, TemporalError};
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use troll_data::{DataError, Env, Layered, MapEnv, Quantifier, Term, Value};
 use troll_vm::Compiled;
 
@@ -156,12 +156,12 @@ pub struct SlicedMonitor {
     roots: Vec<u32>,
     /// The class of every value no committed event has mentioned.
     default: u32,
-    /// The class of every forked value, keyed by the value's encoding
-    /// ([`Value::encode_into`]): one allocation per fork, where a cloned
-    /// identity value would hold three.
-    forks: BTreeMap<Box<[u8]>, u32>,
-    /// Reused buffer for encoding a probed value.
-    probe: Vec<u8>,
+    /// The class of every forked value. Identity values are shared
+    /// handles, so a fork's key costs a reference count, not a copy.
+    /// Hashed, not ordered: a probe hashes the value once, where an
+    /// ordered search compares it with ~log2(n) keys, each compare
+    /// chasing pointers through both identities.
+    forks: HashMap<Value, u32>,
 }
 
 impl SlicedMonitor {
@@ -227,8 +227,7 @@ impl SlicedMonitor {
             state: vec![0],
             roots: vec![0],
             default: 0,
-            forks: BTreeMap::new(),
-            probe: Vec::new(),
+            forks: HashMap::new(),
         })
     }
 
@@ -292,9 +291,7 @@ impl SlicedMonitor {
                 self.roots.push(k);
                 k
             });
-            let mut key = Vec::new();
-            value.encode_into(&mut key);
-            self.forks.insert(key.into_boxed_slice(), class);
+            self.forks.insert(value.clone(), class);
         }
         self.steps += 1;
         Ok(())
@@ -389,12 +386,7 @@ impl SlicedMonitor {
 
     /// The root class of `value` (the default's for an unforked value).
     fn class_of(&mut self, value: &Value) -> u32 {
-        self.probe.clear();
-        value.encode_into(&mut self.probe);
-        let class = self
-            .forks
-            .get_mut(self.probe.as_slice())
-            .unwrap_or(&mut self.default);
+        let class = self.forks.get_mut(value).unwrap_or(&mut self.default);
         *class = find(&mut self.parent, *class);
         *class
     }
