@@ -9,21 +9,19 @@
 //!   the evaluator itself — the layer the VM replaces.
 //! * `e14_runtime` — the full engine on e3-shaped workloads that leave
 //!   the base unchanged (a refused event rolls back; a parameterized
-//!   attribute read mutates nothing), with the VM active (default) vs
-//!   `troll_vm::set_force_treewalk` routing every rule back through the
-//!   tree walk. End-to-end deltas are diluted by the non-evaluation
-//!   step machinery (env setup, monitor advance, snapshots, rollback) —
-//!   EXPERIMENTS.md records both layers honestly.
-//!
-//! The force flag is read when an `ObjectBase` (and any lazily built
-//! monitor) constructs its `Compiled` programs, so each mode builds its
-//! own base with the flag held for the whole mode.
+//!   attribute read mutates nothing), with the model compiled under
+//!   `Lowering::Delta` (the shipped engine) vs `Lowering::TreeWalk`,
+//!   which routes every rule back through the tree walk. End-to-end
+//!   deltas are diluted by the non-evaluation step machinery (env
+//!   setup, monitor advance, snapshots, rollback) — EXPERIMENTS.md
+//!   records both layers honestly.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use troll::data::{Date, MapEnv, Op, Quantifier, Term, Value};
+use troll::runtime::{Lowering, ObjectBase, SharedModel};
 use troll::System;
-use troll_vm::{set_force_treewalk, Compiled};
+use troll_vm::Compiled;
 
 /// The shared environment: a 64-tuple relation, a 64-id set, and the
 /// scalars the rule terms read.
@@ -136,7 +134,7 @@ fn bench_term_eval(c: &mut Criterion) {
     let env = rule_env();
     for (name, term) in rule_terms() {
         term.eval(&env).expect("term evaluates");
-        let compiled = Compiled::new(term.clone());
+        let compiled = Compiled::new(term.clone(), Lowering::Delta);
         assert!(compiled.is_compiled(), "{name} should lower to bytecode");
         group.bench_with_input(BenchmarkId::new("tree", name), &term, |b, t| {
             b.iter(|| black_box(t.eval(&env).unwrap()))
@@ -151,9 +149,8 @@ fn bench_term_eval(c: &mut Criterion) {
 /// emp_rel with 64 stored employees; `UpdateSalary` for an unknown name
 /// evaluates the `exists` permission over the whole relation and is
 /// refused — the step rolls back, so sampling is unbatched steady-state.
-fn emp_rel_base() -> (troll::runtime::ObjectBase, troll::data::ObjectId) {
-    let system = System::load_str(troll::specs::EMPLOYMENT).expect("spec loads");
-    let mut ob = system.object_base().expect("object base");
+fn emp_rel_base(lowering: Lowering) -> (ObjectBase, troll::data::ObjectId) {
+    let mut ob = base(troll::specs::EMPLOYMENT, lowering);
     let rel = ob.singleton("emp_rel").expect("singleton");
     ob.execute(&rel, "CreateEmpRel", vec![]).expect("create");
     let bday = Value::Date(Date::new(1960, 1, 1).expect("date"));
@@ -174,9 +171,8 @@ fn emp_rel_base() -> (troll::runtime::ObjectBase, troll::data::ObjectId) {
 
 /// The views spec with one person; `IncomeInYear` is a parameterized
 /// attribute whose derivation runs on every read, mutating nothing.
-fn views_base() -> (troll::runtime::ObjectBase, troll::data::ObjectId) {
-    let system = System::load_str(troll::specs::VIEWS).expect("spec loads");
-    let mut ob = system.object_base().expect("object base");
+fn views_base(lowering: Lowering) -> (ObjectBase, troll::data::ObjectId) {
+    let mut ob = base(troll::specs::VIEWS, lowering);
     let ada = ob
         .birth(
             "PERSON",
@@ -191,13 +187,22 @@ fn views_base() -> (troll::runtime::ObjectBase, troll::data::ObjectId) {
     (ob, ada)
 }
 
+/// A fresh world of `spec`, compiled under `lowering`.
+fn base(spec: &str, lowering: Lowering) -> ObjectBase {
+    let system = System::load_str(spec).expect("spec loads");
+    SharedModel::with_lowering(system.model().clone(), lowering)
+        .spawn()
+        .expect("object base")
+}
+
 fn bench_runtime(c: &mut Criterion) {
     let mut group = c.benchmark_group("e14_runtime");
     group.sample_size(20);
-    for mode in ["bytecode", "treewalk"] {
-        set_force_treewalk(mode == "treewalk");
-
-        let (mut ob, rel) = emp_rel_base();
+    for (mode, lowering) in [
+        ("bytecode", Lowering::Delta),
+        ("treewalk", Lowering::TreeWalk),
+    ] {
+        let (mut ob, rel) = emp_rel_base(lowering);
         let bday = Value::Date(Date::new(1960, 1, 1).expect("date"));
         group.bench_function(BenchmarkId::new("refused_update", mode), |b| {
             b.iter(|| {
@@ -228,7 +233,7 @@ fn bench_runtime(c: &mut Criterion) {
             })
         });
 
-        let (pob, ada) = views_base();
+        let (pob, ada) = views_base(lowering);
         group.bench_function(BenchmarkId::new("param_attr_read", mode), |b| {
             b.iter(|| {
                 black_box(
@@ -237,8 +242,6 @@ fn bench_runtime(c: &mut Criterion) {
                 )
             })
         });
-
-        set_force_treewalk(false);
     }
     group.finish();
 }

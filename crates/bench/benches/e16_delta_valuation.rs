@@ -12,11 +12,10 @@
 //! Two harnesses:
 //!
 //! * **Criterion group**: hire/fire at the shallow and deep ends
-//!   (4 and 2048 standing members), each in both configurations —
-//!   delta lowering on (default) and [`troll_vm::set_force_recompute`]
-//!   pinning every valuation rule to the full-recompute oracle. The
-//!   flag is consulted when the object base is *built*, so it brackets
-//!   each bench case's setup.
+//!   (4 and 2048 standing members), each in both configurations — the
+//!   model compiled under `Lowering::Delta` (the shipped engine) and
+//!   under `Lowering::Recompute`, which pins every valuation rule to
+//!   the full-recompute oracle.
 //! * **Report harness**: sweeps 4 → 2048 members, prints the median
 //!   hire+fire latency per width, asserts the flat-cost shape (the
 //!   deep end at most 2× the shallow end) and the counter contract on
@@ -29,28 +28,23 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
-use troll_bench::{dept_base_members, person};
+use troll::runtime::Lowering;
+use troll_bench::{dept_base_members, dept_base_members_lowered, person};
 
 fn bench_growing_membership(c: &mut Criterion) {
     let mut group = c.benchmark_group("e16_delta_valuation");
     group.sample_size(10);
     for members in [4usize, 2048] {
-        for forced in [false, true] {
-            let label = if forced {
-                "hire_fire_recompute"
-            } else {
-                "hire_fire_delta"
-            };
-            // build-time flag: the base built for this bench case gets
-            // the right configuration. One base serves every sample —
-            // hire+fire of the same person keeps the standing
-            // membership at exactly `n` while only the trace grows,
-            // which is precisely the flat-cost claim under test
-            // (rebuilding a 2048-member base per iteration would bury
-            // the measurement in setup).
-            troll_vm::set_force_recompute(forced);
-            let (mut ob, dept) = dept_base_members(members);
-            troll_vm::set_force_recompute(false);
+        for (label, lowering) in [
+            ("hire_fire_delta", Lowering::Delta),
+            ("hire_fire_recompute", Lowering::Recompute),
+        ] {
+            // One base serves every sample — hire+fire of the same
+            // person keeps the standing membership at exactly `n` while
+            // only the trace grows, which is precisely the flat-cost
+            // claim under test (rebuilding a 2048-member base per
+            // iteration would bury the measurement in setup).
+            let (mut ob, dept) = dept_base_members_lowered(members, lowering);
             // warm the monitor-cache entries outside the measurement,
             // exactly as e15 does
             ob.execute(&dept, "hire", vec![person(999_999)])
@@ -103,22 +97,18 @@ fn report_flat_membership(_c: &mut Criterion) {
         medians.push((members, median));
 
         if members == 2048 {
-            // counter contract on the shipped delta-shaped spec: under
-            // the `treewalk` oracle feature nothing is compiled, so
-            // neither counter can move and the check is skipped
-            if cfg!(not(feature = "treewalk")) {
-                let snap = ob.metrics().snapshot();
-                let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
-                assert!(
-                    counter("valuation.delta_applied") > 0,
-                    "no delta was applied on the dept churn"
-                );
-                assert_eq!(
-                    counter("valuation.recomputed"),
-                    0,
-                    "a delta-shaped rule fell back to full recompute"
-                );
-            }
+            // counter contract on the shipped delta-shaped spec
+            let snap = ob.metrics().snapshot();
+            let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+            assert!(
+                counter("valuation.delta_applied") > 0,
+                "no delta was applied on the dept churn"
+            );
+            assert_eq!(
+                counter("valuation.recomputed"),
+                0,
+                "a delta-shaped rule fell back to full recompute"
+            );
         }
     }
     let shallow = medians.first().expect("swept").1.max(1);

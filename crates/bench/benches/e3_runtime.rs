@@ -25,6 +25,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use troll::data::{MapEnv, Term, Value};
+use troll::runtime::Lowering;
 use troll::temporal::{eval_now, EventPattern, Formula, Monitor};
 use troll::System;
 use troll_bench::{dept_base_deep, dept_base_members, dept_base_with, person};
@@ -229,7 +230,7 @@ fn bench_monitor_ablation(c: &mut Criterion) {
             |b, _| {
                 // steady-state monitor: cost of ONE more step after the
                 // history was consumed (the quantity the runtime pays)
-                let mut monitor = Monitor::new(&formula).expect("monitorable");
+                let mut monitor = Monitor::new(&formula, Lowering::Delta).expect("monitorable");
                 for step in &trace {
                     monitor.step(step, &env).expect("evaluates");
                 }

@@ -5,7 +5,7 @@
 
 use troll::data::{Date, ObjectId, Value};
 use troll::kernel::{InheritanceSchema, Template, TemplateMorphism};
-use troll::runtime::ObjectBase;
+use troll::runtime::{Lowering, ObjectBase, SharedModel};
 use troll::System;
 
 /// Builds a linear inheritance chain `t0 ← t1 ← … ← t(n-1)` (each
@@ -126,8 +126,16 @@ pub fn dept_base_deep(history_len: usize) -> (ObjectBase, ObjectId) {
 /// path stays O(log n) — unlike [`dept_base_deep`], whose deep trace
 /// keeps the collections tiny.
 pub fn dept_base_members(n: usize) -> (ObjectBase, ObjectId) {
+    dept_base_members_lowered(n, Lowering::Delta)
+}
+
+/// [`dept_base_members`] with the model compiled under `lowering` —
+/// E16 measures the shipped engine against [`Lowering::Recompute`].
+pub fn dept_base_members_lowered(n: usize, lowering: Lowering) -> (ObjectBase, ObjectId) {
     let system = System::load_str(troll::specs::DEPT).expect("shipped spec loads");
-    let mut ob = system.object_base().expect("object base");
+    let mut ob = SharedModel::with_lowering(system.model().clone(), lowering)
+        .spawn()
+        .expect("object base");
     let date = Value::Date(Date::new(1991, 10, 16).expect("valid date"));
     let id = ob
         .birth(

@@ -20,7 +20,8 @@ use troll_obs::{
     StepProfiler,
 };
 use troll_process::EventKind;
-use troll_temporal::{eval_now_appended, EventOccurrence, Step, Trace};
+use troll_temporal::{EventOccurrence, Step, Trace};
+use troll_vm::Lowering;
 
 /// Upper bound on the closure of one step's occurrence set — a backstop
 /// against unbounded mutual event calling.
@@ -244,9 +245,8 @@ impl RuntimeCounters {
 #[derive(Debug)]
 pub struct ObjectBase {
     model: SystemModel,
-    /// Every hot-path rule term, lowered to bytecode at build time
-    /// (empty under the `treewalk` oracle feature, which sends all
-    /// evaluation sites down their original tree-walk branches).
+    /// Every hot-path rule term, lowered at build time under the
+    /// model's [`Lowering`].
     compiled: Arc<CompiledModel>,
     instances: BTreeMap<ObjectId, Instance>,
     steps_executed: usize,
@@ -271,21 +271,6 @@ pub struct ObjectBase {
     profiling: bool,
 }
 
-/// Compiles a model's rules once (the empty compiled model under the
-/// `treewalk` differential-oracle feature, where every evaluation
-/// tree-walks instead).
-fn compile_model(model: &SystemModel) -> Arc<CompiledModel> {
-    #[cfg(not(feature = "treewalk"))]
-    {
-        Arc::new(CompiledModel::new(model))
-    }
-    #[cfg(feature = "treewalk")]
-    {
-        let _ = model;
-        Arc::new(CompiledModel::default())
-    }
-}
-
 /// A specification compiled once and shared by many worlds.
 ///
 /// [`ObjectBase::new`] compiles the model's rules to bytecode as part
@@ -294,6 +279,9 @@ fn compile_model(model: &SystemModel) -> Arc<CompiledModel> {
 /// holds the analyzed model plus its compiled rules behind an `Arc`,
 /// and [`SharedModel::spawn`] mints fresh, fully independent worlds
 /// that share the immutable compiled ruleset.
+///
+/// The [`Lowering`] is fixed here, once per model: every world spawned
+/// from it runs the same engine configuration.
 #[derive(Debug, Clone)]
 pub struct SharedModel {
     model: SystemModel,
@@ -301,9 +289,18 @@ pub struct SharedModel {
 }
 
 impl SharedModel {
-    /// Compiles the model once.
+    /// Compiles the model once, for the shipped engine
+    /// ([`Lowering::Delta`]).
     pub fn new(model: SystemModel) -> Self {
-        let compiled = compile_model(&model);
+        SharedModel::with_lowering(model, Lowering::Delta)
+    }
+
+    /// Compiles the model once under `lowering`. The oracle lowerings
+    /// ([`Lowering::Recompute`], [`Lowering::TreeWalk`]) give worlds
+    /// whose answers must equal the shipped engine's — the differential
+    /// baselines, built side by side in one process.
+    pub fn with_lowering(model: SystemModel, lowering: Lowering) -> Self {
+        let compiled = Arc::new(CompiledModel::new(&model, lowering));
         SharedModel { model, compiled }
     }
 
@@ -334,7 +331,7 @@ impl ObjectBase {
     /// Currently infallible in practice; returns `Result` for future
     /// model-level validation.
     pub fn new(model: SystemModel) -> Result<Self> {
-        let compiled = compile_model(&model);
+        let compiled = Arc::new(CompiledModel::new(&model, Lowering::Delta));
         Self::with_compiled(model, compiled)
     }
 
@@ -381,7 +378,7 @@ impl ObjectBase {
         }
         let metrics = Metrics::new();
         let counters = RuntimeCounters::new(&metrics);
-        let monitor_cache = MonitorCache::new(&metrics);
+        let monitor_cache = MonitorCache::new(&metrics, compiled.lowering());
         let step_latency = metrics.histogram("step.latency_ns");
         let profiler = StepProfiler::new(&metrics);
         Ok(ObjectBase {
@@ -461,11 +458,8 @@ impl ObjectBase {
         }
     }
 
-    /// The compiled rules of a class. `None` for unknown classes and —
-    /// because the compiled model is then empty — for every class under
-    /// the `treewalk` oracle feature, which routes all evaluation sites
-    /// down their original tree-walk branches.
-    pub(crate) fn compiled_class(&self, name: &str) -> Option<&CompiledClass> {
+    /// The compiled rules of a model class (see [`CompiledModel::class`]).
+    pub(crate) fn compiled_class(&self, name: &str) -> &CompiledClass {
         self.compiled.class(name)
     }
 
@@ -695,23 +689,10 @@ impl ObjectBase {
             });
         }
         let params: BTreeMap<String, Value> = family.binders.iter().cloned().zip(args).collect();
-        let compiled = self
-            .compiled_class(inst.class())
-            .and_then(|c| c.param_attrs.get(family_idx));
-        let needed_fallback;
-        let needed = match compiled {
-            Some(c) => &c.needed,
-            None => {
-                needed_fallback = env::needed_vars(&[&family.value]);
-                &needed_fallback
-            }
-        };
+        let compiled = &self.compiled_class(inst.class()).param_attrs[family_idx];
         let world = Committed(self);
-        let env = env::build_env(&world, id, class, &inst.state, &params, needed)?;
-        Ok(match compiled {
-            Some(c) => c.value.eval(&env)?,
-            None => family.value.eval(&env)?,
-        })
+        let env = env::build_env(&world, id, class, &inst.state, &params, &compiled.needed)?;
+        Ok(compiled.value.eval(&env)?)
     }
 
     /// Reads a role-local attribute of an active (or past) role.
@@ -1198,9 +1179,7 @@ impl ObjectBase {
                 }
                 let params = bind_params(&rule.trigger_params, &occ.args, &occ.event)?;
                 for (call_idx, call) in rule.calls.iter().enumerate() {
-                    let compiled = cc
-                        .and_then(|c| c.interactions.get(rule_idx))
-                        .and_then(|r| r.get(call_idx));
+                    let compiled = &cc.interactions[rule_idx][call_idx];
                     let callee = self.resolve_call(&occ, class, call, &params, compiled, reads)?;
                     queue.push_back(callee);
                 }
@@ -1221,11 +1200,7 @@ impl ObjectBase {
                     params.insert(v.clone(), Value::Id(occ.id.clone()));
                 }
                 for (call_idx, call) in rule.calls.iter().enumerate() {
-                    let compiled = self
-                        .compiled
-                        .globals
-                        .get(rule_idx)
-                        .and_then(|r| r.get(call_idx));
+                    let compiled = &self.compiled.globals[rule_idx][call_idx];
                     let callee = self.resolve_call(&occ, class, call, &params, compiled, reads)?;
                     queue.push_back(callee);
                 }
@@ -1264,7 +1239,7 @@ impl ObjectBase {
         caller_class: &ClassModel,
         call: &troll_lang::LoweredCall,
         params: &BTreeMap<String, Value>,
-        compiled: Option<&CompiledCall>,
+        compiled: &CompiledCall,
         reads: Option<&ReadTracker>,
     ) -> Result<Occurrence> {
         let world = Reading { base: self, reads };
@@ -1274,32 +1249,18 @@ impl ObjectBase {
         let state = world
             .state_of(&caller.id)
             .unwrap_or_else(|| self.initial_state(caller_class, &caller.id));
-        let needed_fallback;
-        let needed = match compiled {
-            Some(c) => &c.needed,
-            None => {
-                let mut needed = env::needed_vars(&call.args.iter().collect::<Vec<_>>());
-                if let EventTarget::Instance { id, .. } = &call.target {
-                    needed.extend(id.free_vars());
-                }
-                needed_fallback = needed;
-                &needed_fallback
-            }
-        };
-        let env = env::build_env(&world, &caller.id, caller_class, &state, params, needed)?;
+        let env = env::build_env(
+            &world,
+            &caller.id,
+            caller_class,
+            &state,
+            params,
+            &compiled.needed,
+        )?;
 
-        let mut args = Vec::with_capacity(call.args.len());
-        match compiled {
-            Some(c) => {
-                for t in &c.args {
-                    args.push(t.eval(&env)?);
-                }
-            }
-            None => {
-                for t in &call.args {
-                    args.push(t.eval(&env)?);
-                }
-            }
+        let mut args = Vec::with_capacity(compiled.args.len());
+        for t in &compiled.args {
+            args.push(t.eval(&env)?);
         }
 
         let (target_id, target_class) = match &call.target {
@@ -1325,11 +1286,12 @@ impl ObjectBase {
                     })?;
                 (target, target_class)
             }
-            EventTarget::Instance { class, id } => {
-                let id_val = match compiled.and_then(|c| c.target_id.as_ref()) {
-                    Some(c) => c.eval(&env)?,
-                    None => id.eval(&env)?,
-                };
+            EventTarget::Instance { class, .. } => {
+                let id_val = compiled
+                    .target_id
+                    .as_ref()
+                    .expect("instance calls compile their designator")
+                    .eval(&env)?;
                 let target = match id_val {
                     Value::Id(oid) => {
                         if oid.class() == class {
@@ -1537,25 +1499,21 @@ impl ObjectBase {
             let cc = self.compiled_class(&occ.ctx_class);
             for (perm_index, perm) in class.permissions_for(&occ.event).enumerate() {
                 let params = bind_params(&perm.params, &occ.args, &occ.event)?;
-                let compiled_perm = cc.and_then(|c| c.permission(&occ.event, perm_index));
-                let needed_fallback;
-                let needed = match compiled_perm {
-                    Some(p) => &p.needed,
-                    None => {
-                        let mut needed = BTreeSet::new();
-                        env::formula_needed_vars(&perm.formula, &mut needed);
-                        needed_fallback = needed;
-                        &needed_fallback
-                    }
-                };
+                let compiled_perm = cc.permission(&occ.event, perm_index);
                 let overlay = Overlay {
                     base: self,
                     working,
                     reads,
                 };
                 let env_guard = self.phase(Phase::Env);
-                let env =
-                    env::build_env(&overlay, &occ.id, class, &current_state, &params, needed)?;
+                let env = env::build_env(
+                    &overlay,
+                    &occ.id,
+                    class,
+                    &current_state,
+                    &params,
+                    &compiled_perm.needed,
+                )?;
                 let virtual_step = Step::with_state(
                     if is_role_ctx {
                         w.new_role_events
@@ -1570,15 +1528,12 @@ impl ObjectBase {
                 drop(env_guard);
                 // Role histories stay on the scan path; base histories
                 // go through the monitor cache, falling back to the
-                // scan for anything it cannot monitor.
-                // Scans dispatch through the compiled formula when the
-                // compiled model exists (always, outside the `treewalk`
-                // oracle build) — bytecode leaves, identical semantics.
+                // scan for anything it cannot monitor. Scans dispatch
+                // through the compiled formula.
                 let scan_check = |env: &env::RuleEnv| -> Result<bool> {
-                    Ok(match compiled_perm {
-                        Some(p) => p.scan.eval_now_appended(trace, &virtual_step, env)?,
-                        None => eval_now_appended(&perm.formula, trace, &virtual_step, env)?,
-                    })
+                    Ok(compiled_perm
+                        .scan
+                        .eval_now_appended(trace, &virtual_step, env)?)
                 };
                 let (holds, path) = if is_role_ctx {
                     (scan_check(&env)?, CheckPath::Scan)
@@ -1643,25 +1598,13 @@ impl ObjectBase {
             let mut updates: Vec<(String, Value)> = Vec::new();
             // Delta accounting: rules whose value applied incrementally
             // through delta ops vs delta-shaped rules that recomputed
-            // in full (oracle / forced-recompute builds).
+            // in full (the oracle lowerings).
             let mut delta_applied = 0usize;
             let mut recomputed = 0usize;
             let cc = self.compiled_class(&occ.ctx_class);
             for (rule_index, rule) in class.valuation_for(&occ.event).enumerate() {
                 let params = bind_params(&rule.params, &occ.args, &occ.event)?;
-                let compiled = cc.and_then(|c| c.valuation(&occ.event, rule_index));
-                let needed_fallback;
-                let needed = match compiled {
-                    Some(c) => &c.needed,
-                    None => {
-                        let mut terms: Vec<&troll_data::Term> = vec![&rule.value];
-                        if let Some(g) = &rule.guard {
-                            terms.push(g);
-                        }
-                        needed_fallback = env::needed_vars(&terms);
-                        &needed_fallback
-                    }
-                };
+                let compiled = cc.valuation(&occ.event, rule_index);
                 let overlay = Overlay {
                     base: self,
                     working,
@@ -1669,14 +1612,17 @@ impl ObjectBase {
                 };
                 let env = {
                     let _env = self.phase(Phase::Env);
-                    env::build_env(&overlay, &occ.id, class, &pre_state, &params, needed)?
+                    env::build_env(
+                        &overlay,
+                        &occ.id,
+                        class,
+                        &pre_state,
+                        &params,
+                        &compiled.needed,
+                    )?
                 };
-                if let Some(g) = &rule.guard {
-                    let gv = match compiled.and_then(|c| c.guard.as_ref()) {
-                        Some(c) => c.eval(&env)?,
-                        None => g.eval(&env)?,
-                    };
-                    match gv.as_bool() {
+                if let Some(g) = &compiled.guard {
+                    match g.eval(&env)?.as_bool() {
                         Some(true) => {}
                         Some(false) => continue,
                         None => {
@@ -1686,17 +1632,12 @@ impl ObjectBase {
                         }
                     }
                 }
-                let value = match compiled {
-                    Some(c) => {
-                        if c.value.delta_lowered() {
-                            delta_applied += 1;
-                        } else if c.value.delta_shaped() {
-                            recomputed += 1;
-                        }
-                        c.value.eval(&env)?
-                    }
-                    None => rule.value.eval(&env)?,
-                };
+                if compiled.value.delta_lowered() {
+                    delta_applied += 1;
+                } else if compiled.value.delta_shaped() {
+                    recomputed += 1;
+                }
+                let value = compiled.value.eval(&env)?;
                 updates.push((rule.attribute.clone(), value));
             }
             if !updates.is_empty() {
@@ -1789,28 +1730,24 @@ impl ObjectBase {
                 if !applies {
                     continue;
                 }
-                let compiled_con = cc.and_then(|c| c.constraints.get(index));
-                let needed_fallback;
-                let needed = match compiled_con {
-                    Some(c) => &c.needed,
-                    None => {
-                        let mut needed = BTreeSet::new();
-                        env::formula_needed_vars(&c.formula, &mut needed);
-                        needed_fallback = needed;
-                        &needed_fallback
-                    }
-                };
+                let compiled_con = &cc.constraints[index];
                 let env_guard = self.phase(Phase::Env);
-                let env = env::build_env(&overlay, id, class, state, &BTreeMap::new(), needed)?;
+                let env = env::build_env(
+                    &overlay,
+                    id,
+                    class,
+                    state,
+                    &BTreeMap::new(),
+                    &compiled_con.needed,
+                )?;
                 let virtual_step = Step::with_state(
                     events.to_vec(),
                     env::materialize_aliases(&overlay, class, state)?,
                 );
                 drop(env_guard);
-                let holds = match compiled_con {
-                    Some(cf) => cf.scan.eval_now_appended(trace, &virtual_step, &env)?,
-                    None => eval_now_appended(&c.formula, trace, &virtual_step, &env)?,
-                };
+                let holds = compiled_con
+                    .scan
+                    .eval_now_appended(trace, &virtual_step, &env)?;
                 self.counters.constraints_checked.inc();
                 self.emit(|| ObsEvent::ConstraintChecked {
                     instance: id.to_string(),
@@ -1847,30 +1784,25 @@ impl ObjectBase {
                 if !applies {
                     continue;
                 }
-                let compiled_con = cc.and_then(|c| c.constraints.get(index));
-                let needed_fallback;
-                let needed = match compiled_con {
-                    Some(c) => &c.needed,
-                    None => {
-                        let mut needed = BTreeSet::new();
-                        env::formula_needed_vars(&c.formula, &mut needed);
-                        needed_fallback = needed;
-                        &needed_fallback
-                    }
-                };
+                let compiled_con = &cc.constraints[index];
                 let env_guard = self.phase(Phase::Env);
-                let env =
-                    env::build_env(&overlay, id, base_class, &w.state, &BTreeMap::new(), needed)?;
+                let env = env::build_env(
+                    &overlay,
+                    id,
+                    base_class,
+                    &w.state,
+                    &BTreeMap::new(),
+                    &compiled_con.needed,
+                )?;
                 let virtual_step = Step::with_state(
                     w.new_events.clone(),
                     env::materialize_aliases(&overlay, base_class, &w.state)?,
                 );
                 drop(env_guard);
                 let scan_check = |env: &env::RuleEnv| -> Result<bool> {
-                    Ok(match compiled_con {
-                        Some(cf) => cf.scan.eval_now_appended(base_trace, &virtual_step, env)?,
-                        None => eval_now_appended(&c.formula, base_trace, &virtual_step, env)?,
-                    })
+                    Ok(compiled_con
+                        .scan
+                        .eval_now_appended(base_trace, &virtual_step, env)?)
                 };
                 // `initially` fires once per life — not worth an entry.
                 let (holds, path) = if c.kind == ConstraintKind::Initially {
@@ -2062,7 +1994,7 @@ impl World for Committed<'_> {
         self.0.singleton(class)
     }
 
-    fn compiled_class(&self, class: &str) -> Option<&CompiledClass> {
+    fn compiled_class(&self, class: &str) -> &CompiledClass {
         self.0.compiled_class(class)
     }
 }
@@ -2099,7 +2031,7 @@ impl World for Reading<'_> {
         self.base.singleton(class)
     }
 
-    fn compiled_class(&self, class: &str) -> Option<&CompiledClass> {
+    fn compiled_class(&self, class: &str) -> &CompiledClass {
         self.base.compiled_class(class)
     }
 }
@@ -2150,7 +2082,7 @@ impl World for Overlay<'_> {
         self.base.singleton(class)
     }
 
-    fn compiled_class(&self, class: &str) -> Option<&CompiledClass> {
+    fn compiled_class(&self, class: &str) -> &CompiledClass {
         self.base.compiled_class(class)
     }
 }
@@ -2292,15 +2224,10 @@ end global interactions;
             .unwrap();
         let applied = ob.metrics().counter("valuation.delta_applied").get();
         let recomputed = ob.metrics().counter("valuation.recomputed").get();
-        if cfg!(feature = "treewalk") {
-            // no compiled model at all: nothing is accounted
-            assert_eq!(applied + recomputed, 0);
-        } else {
-            // every hire applies two delta rules (employees, hired_ever)
-            // and the fire one more; nothing recomputes
-            assert!(applied >= 11, "delta_applied = {applied}");
-            assert_eq!(recomputed, 0, "recomputed = {recomputed}");
-        }
+        // every hire applies two delta rules (employees, hired_ever)
+        // and the fire one more; nothing recomputes
+        assert!(applied >= 11, "delta_applied = {applied}");
+        assert_eq!(recomputed, 0, "recomputed = {recomputed}");
         assert_eq!(
             ob.attribute(&toys, "employees").unwrap(),
             Value::set_of(people[1..].iter().cloned().map(Value::Id)),

@@ -12,17 +12,15 @@
 //! Constraints, derivations, parameterized attributes and calling
 //! rules are parallel vectors over their model counterparts.
 //!
-//! Under the `treewalk` oracle feature the runtime builds no compiled
-//! model at all ([`ObjectBase`](crate::ObjectBase) call sites then take
-//! their original tree-walk branches, re-deriving needed sets per
-//! evaluation exactly as before) — that build *is* the differential
-//! baseline, not a half-compiled hybrid.
+//! Every object base builds one, under the [`Lowering`] its model was
+//! compiled with: the oracle lowerings change how each term evaluates,
+//! never which rules exist or where they sit.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use troll_lang::{ClassModel, EventTarget, LoweredCall, SystemModel};
 use troll_temporal::CompiledFormula;
-use troll_vm::Compiled;
+use troll_vm::{Compiled, Lowering};
 
 use crate::env;
 
@@ -73,7 +71,7 @@ pub(crate) struct CompiledParamAttr {
 }
 
 /// Everything compiled for one class.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct CompiledClass {
     /// Valuation rules grouped by event (same order as `valuation_for`).
     valuations: BTreeMap<String, Vec<CompiledValuation>>,
@@ -90,7 +88,7 @@ pub(crate) struct CompiledClass {
 }
 
 impl CompiledClass {
-    fn new(class: &ClassModel) -> CompiledClass {
+    fn new(class: &ClassModel, lowering: Lowering) -> CompiledClass {
         let mut valuations: BTreeMap<String, Vec<CompiledValuation>> = BTreeMap::new();
         for rule in &class.valuation {
             let mut needed = env::needed_vars(&[&rule.value]);
@@ -101,11 +99,11 @@ impl CompiledClass {
                 .entry(rule.event.clone())
                 .or_default()
                 .push(CompiledValuation {
-                    guard: rule.guard.clone().map(Compiled::new),
+                    guard: rule.guard.clone().map(|g| Compiled::new(g, lowering)),
                     // delta-aware: `attr := insert(x, attr)`-shaped
                     // value terms lower to incremental collection
                     // updates (see `troll_vm::Compiled::new_valuation`)
-                    value: Compiled::new_valuation(rule.value.clone(), &rule.attribute),
+                    value: Compiled::new_valuation(rule.value.clone(), &rule.attribute, lowering),
                     needed,
                 });
         }
@@ -117,7 +115,7 @@ impl CompiledClass {
                 .entry(perm.event.clone())
                 .or_default()
                 .push(CompiledPermission {
-                    scan: CompiledFormula::new(&perm.formula),
+                    scan: CompiledFormula::new(&perm.formula, lowering),
                     needed,
                 });
         }
@@ -128,7 +126,7 @@ impl CompiledClass {
                 let mut needed = BTreeSet::new();
                 env::formula_needed_vars(&c.formula, &mut needed);
                 CompiledConstraint {
-                    scan: CompiledFormula::new(&c.formula),
+                    scan: CompiledFormula::new(&c.formula, lowering),
                     needed,
                 }
             })
@@ -136,20 +134,20 @@ impl CompiledClass {
         let derivations = class
             .derivation
             .iter()
-            .map(|d| Compiled::new(d.value.clone()))
+            .map(|d| Compiled::new(d.value.clone(), lowering))
             .collect();
         let param_attrs = class
             .param_attributes
             .iter()
             .map(|p| CompiledParamAttr {
                 needed: env::needed_vars(&[&p.value]),
-                value: Compiled::new(p.value.clone()),
+                value: Compiled::new(p.value.clone(), lowering),
             })
             .collect();
         let interactions = class
             .interactions
             .iter()
-            .map(|rule| rule.calls.iter().map(CompiledCall::new).collect())
+            .map(|rule| compile_calls(&rule.calls, lowering))
             .collect();
         CompiledClass {
             valuations,
@@ -163,61 +161,210 @@ impl CompiledClass {
 
     /// The compiled valuation rule that `valuation_for(event)` yields at
     /// position `index`.
-    pub(crate) fn valuation(&self, event: &str, index: usize) -> Option<&CompiledValuation> {
-        self.valuations.get(event)?.get(index)
+    pub(crate) fn valuation(&self, event: &str, index: usize) -> &CompiledValuation {
+        &self.valuations[event][index]
     }
 
     /// The compiled permission that `permissions_for(event)` yields at
     /// position `index`.
-    pub(crate) fn permission(&self, event: &str, index: usize) -> Option<&CompiledPermission> {
-        self.permissions.get(event)?.get(index)
+    pub(crate) fn permission(&self, event: &str, index: usize) -> &CompiledPermission {
+        &self.permissions[event][index]
     }
 }
 
+fn compile_calls(calls: &[LoweredCall], lowering: Lowering) -> Vec<CompiledCall> {
+    calls
+        .iter()
+        .map(|call| CompiledCall::new(call, lowering))
+        .collect()
+}
+
 impl CompiledCall {
-    fn new(call: &LoweredCall) -> CompiledCall {
+    fn new(call: &LoweredCall, lowering: Lowering) -> CompiledCall {
         let mut needed = env::needed_vars(&call.args.iter().collect::<Vec<_>>());
         let target_id = match &call.target {
             EventTarget::Instance { id, .. } => {
                 needed.extend(id.free_vars());
-                Some(Compiled::new(id.clone()))
+                Some(Compiled::new(id.clone(), lowering))
             }
             _ => None,
         };
         CompiledCall {
-            args: call.args.iter().cloned().map(Compiled::new).collect(),
+            args: call
+                .args
+                .iter()
+                .map(|a| Compiled::new(a.clone(), lowering))
+                .collect(),
             target_id,
             needed,
         }
     }
 }
 
-/// The whole model, compiled. Built once in `ObjectBase::new` and
-/// shared (behind an `Arc`) with every shard of a sharded world.
-#[derive(Debug, Default)]
+/// The whole model, compiled. Built once per [`crate::SharedModel`] or
+/// `ObjectBase::new` and shared (behind an `Arc`) with every world
+/// spawned from it and every shard of a sharded world.
+#[derive(Debug)]
 pub(crate) struct CompiledModel {
+    lowering: Lowering,
     classes: BTreeMap<String, CompiledClass>,
     /// `globals[i][j]` compiles `SystemModel::global_interactions[i].calls[j]`.
     pub(crate) globals: Vec<Vec<CompiledCall>>,
 }
 
 impl CompiledModel {
-    pub(crate) fn new(model: &SystemModel) -> CompiledModel {
+    pub(crate) fn new(model: &SystemModel, lowering: Lowering) -> CompiledModel {
         CompiledModel {
+            lowering,
             classes: model
                 .classes
                 .iter()
-                .map(|(name, class)| (name.clone(), CompiledClass::new(class)))
+                .map(|(name, class)| (name.clone(), CompiledClass::new(class, lowering)))
                 .collect(),
             globals: model
                 .global_interactions
                 .iter()
-                .map(|rule| rule.calls.iter().map(CompiledCall::new).collect())
+                .map(|rule| compile_calls(&rule.calls, lowering))
                 .collect(),
         }
     }
 
-    pub(crate) fn class(&self, name: &str) -> Option<&CompiledClass> {
-        self.classes.get(name)
+    /// The lowering every term of this model was built with.
+    pub(crate) fn lowering(&self) -> Lowering {
+        self.lowering
+    }
+
+    /// The compiled rules of a model class.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is not a class of the model this was built from.
+    pub(crate) fn class(&self, name: &str) -> &CompiledClass {
+        &self.classes[name]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use troll_lang::CallRule;
+
+    /// Every `specs/*.troll`, analyzed.
+    fn shipped_models() -> Vec<(String, SystemModel)> {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs");
+        let mut models = Vec::new();
+        for entry in std::fs::read_dir(dir).expect("specs directory") {
+            let path = entry.expect("directory entry").path();
+            if path.extension().is_some_and(|e| e == "troll") {
+                let source = std::fs::read_to_string(&path).expect("spec reads");
+                let spec = troll_lang::parse(&source).expect("spec parses");
+                let model = troll_lang::analyze(&spec).expect("spec analyzes");
+                models.push((path.display().to_string(), model));
+            }
+        }
+        assert_eq!(models.len(), 7, "expected the 7 shipped specs");
+        models
+    }
+
+    fn terms(compiled: &[Compiled]) -> Vec<&troll_data::Term> {
+        compiled.iter().map(Compiled::term).collect()
+    }
+
+    /// Asserts `compiled[i][j]` compiles `rules[i].calls[j]`; returns
+    /// how many calls were compared.
+    fn assert_calls(compiled: &[Vec<CompiledCall>], rules: &[CallRule], at: &str) -> usize {
+        assert_eq!(compiled.len(), rules.len(), "{at}: rule count");
+        let mut n = 0;
+        for (c_rule, rule) in compiled.iter().zip(rules) {
+            assert_eq!(c_rule.len(), rule.calls.len(), "{at}: call count");
+            for (c, call) in c_rule.iter().zip(&rule.calls) {
+                assert_eq!(terms(&c.args), call.args.iter().collect::<Vec<_>>(), "{at}");
+                let designator = match &call.target {
+                    EventTarget::Instance { id, .. } => Some(id),
+                    _ => None,
+                };
+                assert_eq!(c.target_id.as_ref().map(Compiled::term), designator, "{at}");
+                n += 1;
+            }
+        }
+        n
+    }
+
+    /// Position `i` of every compiled group holds the `i`-th rule the
+    /// model's iterators yield, under every lowering: the evaluation
+    /// sites index the compiled model by that position.
+    #[test]
+    fn compiled_groups_mirror_the_model() {
+        // per kind, how many compiled rules were compared
+        let mut seen = BTreeMap::<&str, usize>::new();
+        for (spec, model) in shipped_models() {
+            for lowering in Lowering::ALL {
+                let compiled = CompiledModel::new(&model, lowering);
+                assert_eq!(compiled.classes.len(), model.classes.len(), "{spec}");
+                for (name, class) in &model.classes {
+                    let at = format!("{spec} {name} {lowering:?}");
+                    let cc = compiled.class(name);
+
+                    let events: BTreeSet<&str> =
+                        class.valuation.iter().map(|v| v.event.as_str()).collect();
+                    assert!(cc.valuations.keys().map(String::as_str).eq(events.clone()));
+                    for event in events {
+                        let rules: Vec<_> = class.valuation_for(event).collect();
+                        assert_eq!(cc.valuations[event].len(), rules.len(), "{at} {event}");
+                        for (i, rule) in rules.into_iter().enumerate() {
+                            let c = cc.valuation(event, i);
+                            assert_eq!(c.value.term(), &rule.value, "{at} {event}");
+                            assert_eq!(c.guard.as_ref().map(Compiled::term), rule.guard.as_ref());
+                            *seen.entry("valuation").or_default() += 1;
+                        }
+                    }
+
+                    let events: BTreeSet<&str> =
+                        class.permissions.iter().map(|p| p.event.as_str()).collect();
+                    assert!(cc.permissions.keys().map(String::as_str).eq(events.clone()));
+                    for event in events {
+                        let perms: Vec<_> = class.permissions_for(event).collect();
+                        assert_eq!(cc.permissions[event].len(), perms.len(), "{at} {event}");
+                        for (i, perm) in perms.into_iter().enumerate() {
+                            let p = cc.permission(event, i);
+                            assert_eq!(p.scan.formula(), &perm.formula, "{at} {event}");
+                            *seen.entry("permission").or_default() += 1;
+                        }
+                    }
+
+                    assert_eq!(cc.constraints.len(), class.constraints.len(), "{at}");
+                    for (c, con) in cc.constraints.iter().zip(&class.constraints) {
+                        assert_eq!(c.scan.formula(), &con.formula, "{at}");
+                        *seen.entry("constraint").or_default() += 1;
+                    }
+
+                    let derived: Vec<_> = class.derivation.iter().map(|d| &d.value).collect();
+                    assert_eq!(terms(&cc.derivations), derived, "{at}");
+                    *seen.entry("derivation").or_default() += derived.len();
+
+                    assert_eq!(cc.param_attrs.len(), class.param_attributes.len(), "{at}");
+                    for (c, attr) in cc.param_attrs.iter().zip(&class.param_attributes) {
+                        assert_eq!(c.value.term(), &attr.value, "{at}");
+                        *seen.entry("parameterized attribute").or_default() += 1;
+                    }
+
+                    *seen.entry("interaction call").or_default() +=
+                        assert_calls(&cc.interactions, &class.interactions, &at);
+                }
+                *seen.entry("global call").or_default() +=
+                    assert_calls(&compiled.globals, &model.global_interactions, &spec);
+            }
+        }
+        for kind in [
+            "valuation",
+            "permission",
+            "constraint",
+            "derivation",
+            "parameterized attribute",
+            "interaction call",
+            "global call",
+        ] {
+            assert!(seen.get(kind).is_some_and(|&n| n > 0), "no {kind} compared");
+        }
     }
 }

@@ -30,12 +30,8 @@ pub(crate) trait World {
     fn population(&self, class: &str) -> Vec<ObjectId>;
     /// The identity of a singleton object class.
     fn singleton_id(&self, class: &str) -> Option<ObjectId>;
-    /// The compiled rules of `class`, when this world is backed by an
-    /// object base that built them (`None` under the `treewalk` oracle
-    /// feature and for worlds with no base).
-    fn compiled_class(&self, _class: &str) -> Option<&crate::compiled::CompiledClass> {
-        None
-    }
+    /// The compiled rules of a model class.
+    fn compiled_class(&self, class: &str) -> &crate::compiled::CompiledClass;
 }
 
 /// Builds the value of an instance as a tuple: stored attributes,
@@ -61,13 +57,9 @@ pub(crate) fn instance_tuple(world: &dyn World, id: &ObjectId, depth: usize) -> 
     // derived attributes, computed against an env of the stored state
     if !class.derivation.is_empty() {
         let env = env_for_instance(world, id, class, &state, &BTreeMap::new(), depth)?;
-        let compiled = world.compiled_class(&class.name);
-        for (i, rule) in class.derivation.iter().enumerate() {
-            let result = match compiled.and_then(|c| c.derivations.get(i)) {
-                Some(c) => c.eval(&env),
-                None => rule.value.eval(&env),
-            };
-            match result {
+        let compiled = &world.compiled_class(&class.name).derivations;
+        for (rule, value) in class.derivation.iter().zip(compiled) {
+            match value.eval(&env) {
                 Ok(v) => fields.push((rule.attribute.clone(), v)),
                 // a derived attribute may be undefined (e.g. key not yet
                 // present in the base relation); observe it as undefined
@@ -243,13 +235,9 @@ pub(crate) fn self_tuple(
     fields.push(("surrogate".to_string(), Value::Id(id.clone())));
     if !class.derivation.is_empty() {
         let env = env_for_instance(world, id, class, state, &BTreeMap::new(), 0)?;
-        let compiled = world.compiled_class(&class.name);
-        for (i, rule) in class.derivation.iter().enumerate() {
-            let result = match compiled.and_then(|c| c.derivations.get(i)) {
-                Some(c) => c.eval(&env),
-                None => rule.value.eval(&env),
-            };
-            match result {
+        let compiled = &world.compiled_class(&class.name).derivations;
+        for (rule, value) in class.derivation.iter().zip(compiled) {
+            match value.eval(&env) {
                 Ok(v) => fields.push((rule.attribute.clone(), v)),
                 Err(troll_data::DataError::Undefined(_)) => {
                     fields.push((rule.attribute.clone(), Value::Undefined))

@@ -75,9 +75,6 @@
 #![warn(missing_docs)]
 
 mod base;
-// Under the `treewalk` oracle feature the compiled model is never
-// built, so its constructors are intentionally unreachable.
-#[cfg_attr(feature = "treewalk", allow(dead_code))]
 mod compiled;
 mod env;
 mod error;
@@ -95,6 +92,10 @@ pub use monitor_cache::MonitorCacheStats;
 pub use persist::{InstanceDump, RoleDump, StepSink};
 pub use shard::{BatchEvent, WorldShards};
 pub use views::{JoinStrategy, ViewRow, ViewSet};
+
+/// The engine configuration a [`SharedModel`] is compiled with (see
+/// [`SharedModel::with_lowering`]).
+pub use troll_vm::Lowering;
 
 // Observability surface (see `troll_obs`): the runtime re-exports the
 // pieces callers need to attach an observer or read metrics without

@@ -69,6 +69,7 @@ use troll_lang::ast::ComponentKind;
 use troll_lang::ClassModel;
 use troll_obs::{Counter, Metrics};
 use troll_temporal::{Formula, Monitor, SlicedMonitor, Step, Trace};
+use troll_vm::Lowering;
 
 /// Per-instance cap on grounded (per-argument-tuple) monitors; beyond
 /// it, new argument tuples simply use the scan path rather than evict
@@ -257,6 +258,8 @@ struct CacheCounters {
 #[derive(Debug)]
 pub(crate) struct MonitorCache {
     enabled: bool,
+    /// How new monitors lower their terms: the owning model's.
+    lowering: Lowering,
     per_instance: BTreeMap<ObjectId, InstanceCache>,
     /// `None` in a placeholder or scratch cache, which counts nothing.
     counters: Option<CacheCounters>,
@@ -266,10 +269,12 @@ impl Default for MonitorCache {
     /// A cache that counts nothing — the placeholder the step engine
     /// leaves behind while it borrows the real cache (built without
     /// allocating, on every step), and the sharded executor's scratch
-    /// cache. The runtime's real cache is built by [`MonitorCache::new`].
+    /// cache. Neither builds a monitor, so its lowering never matters.
+    /// The runtime's real cache is built by [`MonitorCache::new`].
     fn default() -> Self {
         MonitorCache {
             enabled: true,
+            lowering: Lowering::Delta,
             per_instance: BTreeMap::new(),
             counters: None,
         }
@@ -312,14 +317,15 @@ fn classify(
     formula: &Formula,
     bindings: &BTreeMap<String, Value>,
     recorded: &BTreeSet<String>,
+    lowering: Lowering,
 ) -> Rule {
     if monitor_safe(formula, recorded) {
-        if let Ok(m) = Monitor::new(formula) {
+        if let Ok(m) = Monitor::new(formula, lowering) {
             return Rule::Closed(m);
         }
     }
     if preds_recorded(formula, recorded) {
-        if let Ok(m) = SlicedMonitor::new(formula) {
+        if let Ok(m) = SlicedMonitor::new(formula, lowering) {
             return Rule::Sliced(Box::new(m));
         }
     }
@@ -333,9 +339,11 @@ fn classify(
 
 impl MonitorCache {
     /// Creates a cache whose counters are registered in `metrics` under
-    /// `monitor_cache.{hits,misses,fallbacks,invalidations}`.
-    pub(crate) fn new(metrics: &Metrics) -> Self {
+    /// `monitor_cache.{hits,misses,fallbacks,invalidations}` and whose
+    /// monitors lower their terms with `lowering`.
+    pub(crate) fn new(metrics: &Metrics, lowering: Lowering) -> Self {
         MonitorCache {
+            lowering,
             counters: Some(CacheCounters {
                 hits: metrics.counter("monitor_cache.hits"),
                 misses: metrics.counter("monitor_cache.misses"),
@@ -422,6 +430,7 @@ impl MonitorCache {
         env: &dyn Env,
         recorded: impl Fn() -> BTreeSet<String>,
     ) -> Answer {
+        let lowering = self.lowering;
         if !self.per_instance.contains_key(id) {
             self.per_instance
                 .insert(id.clone(), InstanceCache::default());
@@ -432,7 +441,7 @@ impl MonitorCache {
             Ok(i) => i,
             Err(pos) => {
                 misses += 1;
-                let rule = classify(key.formula, key.args, &recorded());
+                let rule = classify(key.formula, key.args, &recorded(), lowering);
                 inst.rules.insert(pos, (key.rule_key(), rule));
                 pos
             }
@@ -448,7 +457,7 @@ impl MonitorCache {
         if ahead {
             invalidations += 1;
             misses += 1;
-            *rule = classify(key.formula, key.args, &recorded());
+            *rule = classify(key.formula, key.args, &recorded(), lowering);
         }
         let answer = match rule {
             Rule::Outside => Err(FallbackReason::OutsideFragment),
@@ -466,14 +475,14 @@ impl MonitorCache {
                             misses += 1;
                             inst.grounded += 1;
                             let args = key.args.values().cloned().collect();
-                            entries.insert(pos, (args, ground(key, &recorded())));
+                            entries.insert(pos, (args, ground(key, &recorded(), lowering)));
                             pos
                         });
                         let slot = &mut entries[i].1;
                         if slot.as_ref().is_some_and(|m| m.steps() > trace.len()) {
                             invalidations += 1;
                             misses += 1;
-                            *slot = ground(key, &recorded());
+                            *slot = ground(key, &recorded(), lowering);
                         }
                         let answer = match slot {
                             Some(m) => peek_closed(m, trace, vstep, env),
@@ -551,8 +560,9 @@ impl MonitorCache {
 
 /// A grounded monitor for one argument tuple; `None` if grounding
 /// leaves the fragment (which [`classify`] has ruled out).
-fn ground(key: CheckRef<'_>, recorded: &BTreeSet<String>) -> Option<Monitor> {
-    monitorable_grounding(key.formula, key.args, recorded).and_then(|f| Monitor::new(&f).ok())
+fn ground(key: CheckRef<'_>, recorded: &BTreeSet<String>, lowering: Lowering) -> Option<Monitor> {
+    monitorable_grounding(key.formula, key.args, recorded)
+        .and_then(|f| Monitor::new(&f, lowering).ok())
 }
 
 /// Variables guaranteed resolvable from a committed base-trace snapshot
@@ -669,7 +679,7 @@ mod tests {
     }
 
     fn counted() -> MonitorCache {
-        MonitorCache::new(&Metrics::new())
+        MonitorCache::new(&Metrics::new(), Lowering::Delta)
     }
 
     fn no_state() -> BTreeSet<String> {
@@ -731,7 +741,7 @@ mod tests {
         let recorded = || BTreeSet::from(["budget".to_string()]);
         let p = params(&[("P", "ada"), ("Q", "bob")]);
         let none = BTreeMap::new();
-        let class = |f: &Formula, args| match classify(f, args, &recorded()) {
+        let class = |f: &Formula, args| match classify(f, args, &recorded(), Lowering::Delta) {
             Rule::Closed(_) => "closed",
             Rule::Sliced(_) => "sliced",
             Rule::Grounded(_) => "grounded",

@@ -19,7 +19,7 @@ use crate::eval::{eval_at, eval_now};
 use crate::scan::{pattern_matches, CompiledPattern};
 use crate::{Formula, Result, Step, TemporalError, Trace};
 use troll_data::{Env, Layered};
-use troll_vm::Compiled;
+use troll_vm::{Compiled, Lowering};
 
 /// Flattened subformula node; children are indices into the node array
 /// (children always precede parents, enabling a single bottom-up pass).
@@ -46,9 +46,10 @@ enum Node {
 /// ```
 /// use troll_data::{MapEnv, Term, Value};
 /// use troll_temporal::{Monitor, Formula, EventPattern, Step};
+/// use troll_vm::Lowering;
 ///
 /// let phi = Formula::sometime(Formula::occurs(EventPattern::any("hire")));
-/// let mut m = Monitor::new(&phi)?;
+/// let mut m = Monitor::new(&phi, Lowering::Delta)?;
 /// let env = MapEnv::new();
 /// let quiet = Step::new(vec![], []);
 /// let hire = Step::new(vec![("hire", vec![]).into()], []);
@@ -76,15 +77,16 @@ pub struct MonitorSnapshot {
 }
 
 impl Monitor {
-    /// Compiles a formula into a monitor.
+    /// Compiles a formula into a monitor, lowering its state predicates
+    /// and pattern arguments with `lowering`.
     ///
     /// # Errors
     ///
     /// Returns [`TemporalError::UnsupportedByMonitor`] if the formula
     /// contains quantifiers or future operators.
-    pub fn new(formula: &Formula) -> Result<Self> {
+    pub fn new(formula: &Formula, lowering: Lowering) -> Result<Self> {
         let mut nodes = Vec::new();
-        flatten(formula, &mut nodes)?;
+        flatten(formula, lowering, &mut nodes)?;
         let prev = vec![false; nodes.len()];
         Ok(Monitor {
             nodes,
@@ -215,28 +217,28 @@ impl Monitor {
 }
 
 /// Flattens `formula` into `nodes` (postorder) and returns the root index.
-fn flatten(formula: &Formula, nodes: &mut Vec<Node>) -> Result<usize> {
+fn flatten(formula: &Formula, lowering: Lowering, nodes: &mut Vec<Node>) -> Result<usize> {
     let node = match formula {
-        Formula::Pred(t) => Node::Pred(Compiled::new(t.clone())),
-        Formula::Occurs(p) | Formula::After(p) => Node::Occurs(CompiledPattern::new(p)),
-        Formula::Not(f) => Node::Not(flatten(f, nodes)?),
+        Formula::Pred(t) => Node::Pred(Compiled::new(t.clone(), lowering)),
+        Formula::Occurs(p) | Formula::After(p) => Node::Occurs(CompiledPattern::new(p, lowering)),
+        Formula::Not(f) => Node::Not(flatten(f, lowering, nodes)?),
         Formula::And(a, b) => {
-            let (a, b) = (flatten(a, nodes)?, flatten(b, nodes)?);
+            let (a, b) = (flatten(a, lowering, nodes)?, flatten(b, lowering, nodes)?);
             Node::And(a, b)
         }
         Formula::Or(a, b) => {
-            let (a, b) = (flatten(a, nodes)?, flatten(b, nodes)?);
+            let (a, b) = (flatten(a, lowering, nodes)?, flatten(b, lowering, nodes)?);
             Node::Or(a, b)
         }
         Formula::Implies(a, b) => {
-            let (a, b) = (flatten(a, nodes)?, flatten(b, nodes)?);
+            let (a, b) = (flatten(a, lowering, nodes)?, flatten(b, lowering, nodes)?);
             Node::Implies(a, b)
         }
-        Formula::Sometime(f) => Node::Sometime(flatten(f, nodes)?),
-        Formula::AlwaysPast(f) => Node::AlwaysPast(flatten(f, nodes)?),
-        Formula::Previous(f) => Node::Previous(flatten(f, nodes)?),
+        Formula::Sometime(f) => Node::Sometime(flatten(f, lowering, nodes)?),
+        Formula::AlwaysPast(f) => Node::AlwaysPast(flatten(f, lowering, nodes)?),
+        Formula::Previous(f) => Node::Previous(flatten(f, lowering, nodes)?),
         Formula::Since(a, b) => {
-            let (a, b) = (flatten(a, nodes)?, flatten(b, nodes)?);
+            let (a, b) = (flatten(a, lowering, nodes)?, flatten(b, lowering, nodes)?);
             Node::Since(a, b)
         }
         Formula::Eventually(_) | Formula::Henceforth(_) => {
@@ -252,14 +254,20 @@ fn flatten(formula: &Formula, nodes: &mut Vec<Node>) -> Result<usize> {
     Ok(nodes.len() - 1)
 }
 
-/// Checks monitor/evaluator agreement on a trace (test helper, exposed
-/// for the property-test suites of downstream crates).
+/// Checks monitor/evaluator agreement on a trace, with the monitor
+/// built under `lowering` (test helper, exposed for the property-test
+/// suites of downstream crates).
 ///
 /// # Errors
 ///
 /// Propagates errors from either evaluator.
-pub fn agree_on_trace(formula: &Formula, trace: &Trace, env: &dyn Env) -> Result<bool> {
-    let monitor = Monitor::new(formula)?;
+pub fn agree_on_trace(
+    formula: &Formula,
+    lowering: Lowering,
+    trace: &Trace,
+    env: &dyn Env,
+) -> Result<bool> {
+    let monitor = Monitor::new(formula, lowering)?;
     let m = monitor.run(trace, env)?;
     let e = if trace.is_empty() {
         eval_now(formula, trace, env)?
@@ -288,14 +296,15 @@ mod tests {
 
     #[test]
     fn rejects_unsupported() {
-        assert!(Monitor::new(&Formula::eventually(Formula::truth())).is_err());
-        assert!(Monitor::new(&Formula::forall("P", Term::var("d"), Formula::truth())).is_err());
+        assert!(Monitor::new(&Formula::eventually(Formula::truth()), Lowering::Delta).is_err());
+        let quant = Formula::forall("P", Term::var("d"), Formula::truth());
+        assert!(Monitor::new(&quant, Lowering::Delta).is_err());
     }
 
     #[test]
     fn sometime_is_sticky() {
         let phi = Formula::sometime(Formula::occurs(EventPattern::any("e")));
-        let mut m = Monitor::new(&phi).unwrap();
+        let mut m = Monitor::new(&phi, Lowering::Delta).unwrap();
         let env = MapEnv::new();
         assert!(!m.current());
         assert!(!m.step(&mkstep(vec![], 0), &env).unwrap());
@@ -308,7 +317,7 @@ mod tests {
     #[test]
     fn previous_lags_one_step() {
         let phi = Formula::previous(Formula::occurs(EventPattern::any("e")));
-        let mut m = Monitor::new(&phi).unwrap();
+        let mut m = Monitor::new(&phi, Lowering::Delta).unwrap();
         let env = MapEnv::new();
         assert!(!m.step(&mkstep(vec!["e"], 0), &env).unwrap());
         assert!(m.step(&mkstep(vec![], 0), &env).unwrap());
@@ -325,7 +334,7 @@ mod tests {
             )),
             Formula::occurs(EventPattern::any("e")),
         );
-        let mut m = Monitor::new(&phi).unwrap();
+        let mut m = Monitor::new(&phi, Lowering::Delta).unwrap();
         let env = MapEnv::new();
         assert!(!m.step(&mkstep(vec![], 5), &env).unwrap()); // no e yet
         assert!(m.step(&mkstep(vec!["e"], 5), &env).unwrap());
@@ -338,7 +347,7 @@ mod tests {
     #[test]
     fn peek_does_not_advance() {
         let phi = Formula::sometime(Formula::occurs(EventPattern::any("e")));
-        let mut m = Monitor::new(&phi).unwrap();
+        let mut m = Monitor::new(&phi, Lowering::Delta).unwrap();
         let env = MapEnv::new();
         assert!(m.peek(&mkstep(vec!["e"], 0), &env).unwrap());
         // Nothing was remembered: a quiet step still evaluates false.
@@ -353,7 +362,7 @@ mod tests {
     #[test]
     fn snapshot_restore_roundtrip() {
         let phi = Formula::sometime(Formula::occurs(EventPattern::any("e")));
-        let mut m = Monitor::new(&phi).unwrap();
+        let mut m = Monitor::new(&phi, Lowering::Delta).unwrap();
         let env = MapEnv::new();
         m.step(&mkstep(vec![], 0), &env).unwrap();
         let snap = m.snapshot();
@@ -411,14 +420,16 @@ mod tests {
         #[test]
         fn monitor_agrees_with_reference(f in arb_formula(), t in arb_trace()) {
             let env = MapEnv::new();
-            prop_assert!(agree_on_trace(&f, &t, &env).unwrap());
+            for lowering in Lowering::ALL {
+                prop_assert!(agree_on_trace(&f, lowering, &t, &env).unwrap());
+            }
         }
 
         /// Agreement holds at every prefix, not just the end.
         #[test]
         fn monitor_agrees_on_all_prefixes(f in arb_formula(), t in arb_trace()) {
             let env = MapEnv::new();
-            let mut m = Monitor::new(&f).unwrap();
+            let mut m = Monitor::new(&f, Lowering::Delta).unwrap();
             for (pos, step) in t.iter().enumerate() {
                 let mv = m.step(step, &env).unwrap();
                 let ev = eval_at(&f, &t, pos, &env).unwrap();
@@ -432,7 +443,7 @@ mod tests {
         #[test]
         fn peek_matches_appended_eval(f in arb_formula(), t in arb_trace()) {
             let env = MapEnv::new();
-            let mut m = Monitor::new(&f).unwrap();
+            let mut m = Monitor::new(&f, Lowering::Delta).unwrap();
             let mut prefix = Trace::new();
             for step in t.iter() {
                 let peeked = m.peek(step, &env).unwrap();

@@ -23,7 +23,7 @@
 use crate::eval::{OneBinding, TraceView};
 use crate::{EventPattern, Formula, Result, Step, TemporalError, Trace};
 use troll_data::{Env, Layered, Quantifier, Value};
-use troll_vm::Compiled;
+use troll_vm::{Compiled, Lowering};
 
 /// An [`EventPattern`] with its rigid argument terms lowered to
 /// bytecode. Shared between the [`crate::Monitor`] (which re-evaluates
@@ -36,13 +36,13 @@ pub(crate) struct CompiledPattern {
 }
 
 impl CompiledPattern {
-    pub(crate) fn new(p: &EventPattern) -> Self {
+    pub(crate) fn new(p: &EventPattern, lowering: Lowering) -> Self {
         CompiledPattern {
             name: p.name.clone(),
             args: p
                 .args
                 .iter()
-                .map(|a| a.as_ref().map(|t| Compiled::new(t.clone())))
+                .map(|a| a.as_ref().map(|t| Compiled::new(t.clone(), lowering)))
                 .collect(),
         }
     }
@@ -119,17 +119,24 @@ enum CNode {
 /// of every check.
 #[derive(Debug, Clone)]
 pub struct CompiledFormula {
+    formula: Formula,
     root: CNode,
 }
 
 impl CompiledFormula {
-    /// Compiles `formula`. Never fails: the whole logic is supported,
-    /// and leaf terms the VM declines keep their tree-walk fallback
-    /// inside [`Compiled`].
-    pub fn new(formula: &Formula) -> Self {
+    /// Compiles `formula`, lowering its leaf terms with `lowering`.
+    /// Never fails: the whole logic is supported, and leaf terms the VM
+    /// declines keep their tree-walk fallback inside [`Compiled`].
+    pub fn new(formula: &Formula, lowering: Lowering) -> Self {
         CompiledFormula {
-            root: compile_node(formula),
+            formula: formula.clone(),
+            root: compile_node(formula, lowering),
         }
+    }
+
+    /// The source formula (kept like [`Compiled::term`]).
+    pub fn formula(&self) -> &Formula {
+        &self.formula
     }
 
     /// Compiled twin of [`crate::eval_at`]: evaluates the formula at
@@ -172,22 +179,32 @@ impl CompiledFormula {
     }
 }
 
-fn compile_node(formula: &Formula) -> CNode {
+fn compile_node(formula: &Formula, lowering: Lowering) -> CNode {
     match formula {
-        Formula::Pred(t) => CNode::Pred(Compiled::new(t.clone())),
-        Formula::Occurs(p) | Formula::After(p) => CNode::Occurs(CompiledPattern::new(p)),
-        Formula::Not(f) => CNode::Not(Box::new(compile_node(f))),
-        Formula::And(a, b) => CNode::And(Box::new(compile_node(a)), Box::new(compile_node(b))),
-        Formula::Or(a, b) => CNode::Or(Box::new(compile_node(a)), Box::new(compile_node(b))),
-        Formula::Implies(a, b) => {
-            CNode::Implies(Box::new(compile_node(a)), Box::new(compile_node(b)))
-        }
-        Formula::Sometime(f) => CNode::Sometime(Box::new(compile_node(f))),
-        Formula::AlwaysPast(f) => CNode::AlwaysPast(Box::new(compile_node(f))),
-        Formula::Previous(f) => CNode::Previous(Box::new(compile_node(f))),
-        Formula::Since(a, b) => CNode::Since(Box::new(compile_node(a)), Box::new(compile_node(b))),
-        Formula::Eventually(f) => CNode::Eventually(Box::new(compile_node(f))),
-        Formula::Henceforth(f) => CNode::Henceforth(Box::new(compile_node(f))),
+        Formula::Pred(t) => CNode::Pred(Compiled::new(t.clone(), lowering)),
+        Formula::Occurs(p) | Formula::After(p) => CNode::Occurs(CompiledPattern::new(p, lowering)),
+        Formula::Not(f) => CNode::Not(Box::new(compile_node(f, lowering))),
+        Formula::And(a, b) => CNode::And(
+            Box::new(compile_node(a, lowering)),
+            Box::new(compile_node(b, lowering)),
+        ),
+        Formula::Or(a, b) => CNode::Or(
+            Box::new(compile_node(a, lowering)),
+            Box::new(compile_node(b, lowering)),
+        ),
+        Formula::Implies(a, b) => CNode::Implies(
+            Box::new(compile_node(a, lowering)),
+            Box::new(compile_node(b, lowering)),
+        ),
+        Formula::Sometime(f) => CNode::Sometime(Box::new(compile_node(f, lowering))),
+        Formula::AlwaysPast(f) => CNode::AlwaysPast(Box::new(compile_node(f, lowering))),
+        Formula::Previous(f) => CNode::Previous(Box::new(compile_node(f, lowering))),
+        Formula::Since(a, b) => CNode::Since(
+            Box::new(compile_node(a, lowering)),
+            Box::new(compile_node(b, lowering)),
+        ),
+        Formula::Eventually(f) => CNode::Eventually(Box::new(compile_node(f, lowering))),
+        Formula::Henceforth(f) => CNode::Henceforth(Box::new(compile_node(f, lowering))),
         Formula::Quant {
             q,
             var,
@@ -196,8 +213,8 @@ fn compile_node(formula: &Formula) -> CNode {
         } => CNode::Quant {
             q: *q,
             var: var.clone(),
-            domain: Compiled::new(domain.clone()),
-            body: Box::new(compile_node(body)),
+            domain: Compiled::new(domain.clone(), lowering),
+            body: Box::new(compile_node(body, lowering)),
         },
     }
 }
@@ -419,19 +436,21 @@ mod tests {
         let env = env();
         let virtual_step = step(vec![("hire", vec![Value::from("zoe")])], 7);
         for f in battery() {
-            let c = CompiledFormula::new(&f);
-            for pos in 0..t.len() {
+            for lowering in Lowering::ALL {
+                let c = CompiledFormula::new(&f, lowering);
+                for pos in 0..t.len() {
+                    assert_eq!(
+                        c.eval_at(&t, pos, &env).unwrap(),
+                        eval_at(&f, &t, pos, &env).unwrap(),
+                        "eval_at disagreement at {pos} on {f} ({lowering:?})"
+                    );
+                }
                 assert_eq!(
-                    c.eval_at(&t, pos, &env).unwrap(),
-                    eval_at(&f, &t, pos, &env).unwrap(),
-                    "eval_at disagreement at {pos} on {f}"
+                    c.eval_now_appended(&t, &virtual_step, &env).unwrap(),
+                    eval_now_appended(&f, &t, &virtual_step, &env).unwrap(),
+                    "appended disagreement on {f} ({lowering:?})"
                 );
             }
-            assert_eq!(
-                c.eval_now_appended(&t, &virtual_step, &env).unwrap(),
-                eval_now_appended(&f, &t, &virtual_step, &env).unwrap(),
-                "appended disagreement on {f}"
-            );
         }
     }
 
@@ -440,9 +459,12 @@ mod tests {
         let t = Trace::new();
         let env = MapEnv::new();
         let s = step(vec![("birth_ev", vec![])], 0);
-        let occurs = CompiledFormula::new(&Formula::occurs(EventPattern::any("birth_ev")));
+        let occurs = CompiledFormula::new(
+            &Formula::occurs(EventPattern::any("birth_ev")),
+            Lowering::Delta,
+        );
         assert!(occurs.eval_now_appended(&t, &s, &env).unwrap());
-        let prev = CompiledFormula::new(&Formula::previous(Formula::truth()));
+        let prev = CompiledFormula::new(&Formula::previous(Formula::truth()), Lowering::Delta);
         assert!(!prev.eval_now_appended(&t, &s, &env).unwrap());
     }
 
@@ -451,23 +473,29 @@ mod tests {
         let t = dept_trace();
         let env = MapEnv::new();
         // position out of range
-        let truth = CompiledFormula::new(&Formula::truth());
+        let truth = CompiledFormula::new(&Formula::truth(), Lowering::Delta);
         let e = truth.eval_at(&t, 99, &env).unwrap_err();
         assert!(matches!(e, TemporalError::PositionOutOfRange { .. }));
         // non-boolean predicate, same rendered predicate text
         let f = Formula::pred(Term::var("x"));
         let e_ref = eval_at(&f, &t, 0, &env).unwrap_err();
-        let e_c = CompiledFormula::new(&f).eval_at(&t, 0, &env).unwrap_err();
+        let e_c = CompiledFormula::new(&f, Lowering::Delta)
+            .eval_at(&t, 0, &env)
+            .unwrap_err();
         assert_eq!(e_ref.to_string(), e_c.to_string());
         // non-finite quantifier domain
         let g = Formula::forall("Q", Term::var("x"), Formula::truth());
         let e_ref = eval_at(&g, &t, 0, &env).unwrap_err();
-        let e_c = CompiledFormula::new(&g).eval_at(&t, 0, &env).unwrap_err();
+        let e_c = CompiledFormula::new(&g, Lowering::Delta)
+            .eval_at(&t, 0, &env)
+            .unwrap_err();
         assert_eq!(e_ref.to_string(), e_c.to_string());
         // unbound variable inside a predicate
         let h = Formula::pred(Term::eq(Term::var("nope"), Term::constant(1i64)));
         let e_ref = eval_at(&h, &t, 0, &env).unwrap_err();
-        let e_c = CompiledFormula::new(&h).eval_at(&t, 0, &env).unwrap_err();
+        let e_c = CompiledFormula::new(&h, Lowering::Delta)
+            .eval_at(&t, 0, &env)
+            .unwrap_err();
         assert_eq!(e_ref.to_string(), e_c.to_string());
     }
 
@@ -525,7 +553,7 @@ mod tests {
         fn compiled_scan_agrees_with_reference(f in arb_formula(), t in arb_trace()) {
             let mut env = MapEnv::new();
             env.bind("dom", Value::set_of(vec![Value::from(1i64), Value::from(2i64)]));
-            let c = CompiledFormula::new(&f);
+            let c = CompiledFormula::new(&f, Lowering::Delta);
             for pos in 0..t.len() {
                 prop_assert_eq!(
                     c.eval_at(&t, pos, &env).unwrap(),
@@ -541,14 +569,17 @@ mod tests {
         fn compiled_appended_agrees_with_reference(f in arb_formula(), t in arb_trace()) {
             let mut env = MapEnv::new();
             env.bind("dom", Value::set_of(vec![Value::from(1i64), Value::from(2i64)]));
-            let c = CompiledFormula::new(&f);
-            let mut prefix = Trace::new();
-            for s in t.iter() {
-                prop_assert_eq!(
-                    c.eval_now_appended(&prefix, s, &env).unwrap(),
-                    eval_now_appended(&f, &prefix, s, &env).unwrap()
-                );
-                prefix.push(s.clone());
+            for lowering in Lowering::ALL {
+                let c = CompiledFormula::new(&f, lowering);
+                let mut prefix = Trace::new();
+                for s in t.iter() {
+                    prop_assert_eq!(
+                        c.eval_now_appended(&prefix, s, &env).unwrap(),
+                        eval_now_appended(&f, &prefix, s, &env).unwrap(),
+                        "{:?}", lowering
+                    );
+                    prefix.push(s.clone());
+                }
             }
         }
     }

@@ -34,7 +34,7 @@
 use crate::{EventPattern, Formula, Result, Step, TemporalError};
 use std::collections::HashMap;
 use troll_data::{DataError, Env, Layered, MapEnv, Quantifier, Term, Value};
-use troll_vm::Compiled;
+use troll_vm::{Compiled, Lowering};
 
 /// A slice state is one bit per flattened node.
 const MAX_NODES: usize = 64;
@@ -112,6 +112,7 @@ enum Binder {
 /// ```
 /// use troll_data::{MapEnv, Term, Value};
 /// use troll_temporal::{EventPattern, Formula, SlicedMonitor, Step};
+/// use troll_vm::Lowering;
 ///
 /// // for all(P in staff : sometime(after(fire(P))))
 /// let phi = Formula::forall(
@@ -122,7 +123,7 @@ enum Binder {
 ///         vec![Some(Term::var("P"))],
 ///     ))),
 /// );
-/// let mut m = SlicedMonitor::new(&phi)?;
+/// let mut m = SlicedMonitor::new(&phi, Lowering::Delta)?;
 /// let env = MapEnv::new();
 /// let staff = |names: &[&str]| {
 ///     Step::new(vec![], [(
@@ -176,7 +177,7 @@ impl SlicedMonitor {
     /// argument that fails to evaluate, more than 64 nodes — or, without
     /// a top-level quantifier, no pattern variable at all (use a plain
     /// [`crate::Monitor`]).
-    pub fn new(formula: &Formula) -> Result<Self> {
+    pub fn new(formula: &Formula, lowering: Lowering) -> Result<Self> {
         let (var, binder, body) = match formula {
             Formula::Quant {
                 q,
@@ -187,7 +188,7 @@ impl SlicedMonitor {
                 var.clone(),
                 Binder::Quant {
                     q: *q,
-                    domain: Compiled::new(domain.clone()),
+                    domain: Compiled::new(domain.clone(), lowering),
                 },
                 body.as_ref(),
             ),
@@ -202,7 +203,7 @@ impl SlicedMonitor {
             }
         };
         let mut nodes = Vec::new();
-        flatten(body, &var, &mut nodes)?;
+        flatten(body, &var, lowering, &mut nodes)?;
         if nodes.len() > MAX_NODES {
             return Err(unsupported("formula too large to slice"));
         }
@@ -517,7 +518,7 @@ fn pattern_vars(f: &Formula, out: &mut Vec<String>) {
     }
 }
 
-fn pattern(p: &EventPattern, var: &str) -> Result<Pattern> {
+fn pattern(p: &EventPattern, var: &str, lowering: Lowering) -> Result<Pattern> {
     let args = p
         .args
         .iter()
@@ -527,7 +528,7 @@ fn pattern(p: &EventPattern, var: &str) -> Result<Pattern> {
             Some(t) if t.free_vars().is_empty() => {
                 // closed: its value is the same at every step and in
                 // every environment, so evaluate it once
-                Compiled::new(t.clone())
+                Compiled::new(t.clone(), lowering)
                     .eval(&MapEnv::new())
                     .map(Arg::Is)
                     .map_err(|_| unsupported("pattern argument fails to evaluate"))
@@ -542,33 +543,50 @@ fn pattern(p: &EventPattern, var: &str) -> Result<Pattern> {
 }
 
 /// Flattens `formula` into `nodes` (postorder) and returns the root index.
-fn flatten(formula: &Formula, var: &str, nodes: &mut Vec<Node>) -> Result<usize> {
+fn flatten(
+    formula: &Formula,
+    var: &str,
+    lowering: Lowering,
+    nodes: &mut Vec<Node>,
+) -> Result<usize> {
     let node = match formula {
         Formula::Pred(t) => {
             if t.free_vars().iter().any(|v| v == var) {
                 return Err(unsupported("slice variable inside a state predicate"));
             }
-            Node::Pred(Compiled::new(t.clone()))
+            Node::Pred(Compiled::new(t.clone(), lowering))
         }
-        Formula::Occurs(p) | Formula::After(p) => Node::Occurs(pattern(p, var)?),
-        Formula::Not(f) => Node::Not(flatten(f, var, nodes)?),
+        Formula::Occurs(p) | Formula::After(p) => Node::Occurs(pattern(p, var, lowering)?),
+        Formula::Not(f) => Node::Not(flatten(f, var, lowering, nodes)?),
         Formula::And(a, b) => {
-            let (a, b) = (flatten(a, var, nodes)?, flatten(b, var, nodes)?);
+            let (a, b) = (
+                flatten(a, var, lowering, nodes)?,
+                flatten(b, var, lowering, nodes)?,
+            );
             Node::And(a, b)
         }
         Formula::Or(a, b) => {
-            let (a, b) = (flatten(a, var, nodes)?, flatten(b, var, nodes)?);
+            let (a, b) = (
+                flatten(a, var, lowering, nodes)?,
+                flatten(b, var, lowering, nodes)?,
+            );
             Node::Or(a, b)
         }
         Formula::Implies(a, b) => {
-            let (a, b) = (flatten(a, var, nodes)?, flatten(b, var, nodes)?);
+            let (a, b) = (
+                flatten(a, var, lowering, nodes)?,
+                flatten(b, var, lowering, nodes)?,
+            );
             Node::Implies(a, b)
         }
-        Formula::Sometime(f) => Node::Sometime(flatten(f, var, nodes)?),
-        Formula::AlwaysPast(f) => Node::AlwaysPast(flatten(f, var, nodes)?),
-        Formula::Previous(f) => Node::Previous(flatten(f, var, nodes)?),
+        Formula::Sometime(f) => Node::Sometime(flatten(f, var, lowering, nodes)?),
+        Formula::AlwaysPast(f) => Node::AlwaysPast(flatten(f, var, lowering, nodes)?),
+        Formula::Previous(f) => Node::Previous(flatten(f, var, lowering, nodes)?),
         Formula::Since(a, b) => {
-            let (a, b) = (flatten(a, var, nodes)?, flatten(b, var, nodes)?);
+            let (a, b) = (
+                flatten(a, var, lowering, nodes)?,
+                flatten(b, var, lowering, nodes)?,
+            );
             Node::Since(a, b)
         }
         Formula::Eventually(_) | Formula::Henceforth(_) => {
@@ -614,20 +632,23 @@ mod tests {
     #[test]
     fn fragment_gate() {
         let hired = Formula::sometime(pat("hire", vec![v()]));
-        assert!(SlicedMonitor::new(&hired).is_ok());
+        assert!(SlicedMonitor::new(&hired, Lowering::Delta).is_ok());
         let closure = Formula::forall("Q", Term::var("d"), pat("fire", vec![Some(Term::var("Q"))]));
-        assert!(SlicedMonitor::new(&closure).is_ok());
+        assert!(SlicedMonitor::new(&closure, Lowering::Delta).is_ok());
         // closed formulas belong to the plain monitor
-        assert!(SlicedMonitor::new(&Formula::sometime(pat("hire", vec![None]))).is_err());
+        assert!(
+            SlicedMonitor::new(&Formula::sometime(pat("hire", vec![None])), Lowering::Delta)
+                .is_err()
+        );
         // two pattern variables
         let two = Formula::sometime(pat("pair", vec![v(), Some(Term::var("W"))]));
-        assert!(SlicedMonitor::new(&two).is_err());
+        assert!(SlicedMonitor::new(&two, Lowering::Delta).is_err());
         // the slice variable inside a predicate
         let pred = Formula::and(
             hired.clone(),
             Formula::pred(Term::eq(Term::var("V"), Term::constant(1i64))),
         );
-        assert!(SlicedMonitor::new(&pred).is_err());
+        assert!(SlicedMonitor::new(&pred, Lowering::Delta).is_err());
         // compound argument, future operator, nested quantifier
         let compound = pat(
             "hire",
@@ -636,19 +657,19 @@ mod tests {
                 vec![Term::var("V"), Term::constant(1i64)],
             ))],
         );
-        assert!(SlicedMonitor::new(&compound).is_err());
-        assert!(SlicedMonitor::new(&Formula::eventually(hired.clone())).is_err());
+        assert!(SlicedMonitor::new(&compound, Lowering::Delta).is_err());
+        assert!(SlicedMonitor::new(&Formula::eventually(hired.clone()), Lowering::Delta).is_err());
         let nested = Formula::forall("Q", Term::var("d"), closure.clone());
-        assert!(SlicedMonitor::new(&nested).is_err());
+        assert!(SlicedMonitor::new(&nested, Lowering::Delta).is_err());
         // a closed argument beside the slice variable is fine
         let mixed = pat("pair", vec![v(), Some(Term::constant(2i64))]);
-        assert!(SlicedMonitor::new(&mixed).is_ok());
+        assert!(SlicedMonitor::new(&mixed, Lowering::Delta).is_ok());
     }
 
     #[test]
     fn forks_keep_slice_states_bounded() {
         let phi = Formula::sometime(pat("hire", vec![v()]));
-        let mut m = SlicedMonitor::new(&phi).unwrap();
+        let mut m = SlicedMonitor::new(&phi, Lowering::Delta).unwrap();
         let env = MapEnv::new();
         for i in 0..1000 {
             m.step(&step(vec![("hire", vec![i])], 0), &env).unwrap();
@@ -663,7 +684,7 @@ mod tests {
         // `previous` forks a fresh state per hire that rejoins the
         // default one step later
         let prev = Formula::previous(pat("hire", vec![v()]));
-        let mut m = SlicedMonitor::new(&prev).unwrap();
+        let mut m = SlicedMonitor::new(&prev, Lowering::Delta).unwrap();
         for i in 0..1000 {
             m.step(&step(vec![("hire", vec![i])], 0), &env).unwrap();
             assert!(m.slice_states() <= 2);
@@ -675,10 +696,10 @@ mod tests {
     #[test]
     fn quantifier_errors_surface() {
         let phi = Formula::forall("Q", Term::var("x"), pat("fire", vec![Some(Term::var("Q"))]));
-        let mut m = SlicedMonitor::new(&phi).unwrap();
+        let mut m = SlicedMonitor::new(&phi, Lowering::Delta).unwrap();
         let e = m.peek(&step(vec![], 3), &MapEnv::new()).unwrap_err();
         assert!(matches!(e, TemporalError::NonFiniteDomain(_)));
-        let param = SlicedMonitor::new(&Formula::sometime(pat("hire", vec![v()])));
+        let param = SlicedMonitor::new(&Formula::sometime(pat("hire", vec![v()])), Lowering::Delta);
         assert!(param
             .unwrap()
             .peek(&step(vec![], 0), &MapEnv::new())
@@ -745,8 +766,8 @@ mod tests {
         fn sliced_param_matches_scan(f in arb_formula(), t in arb_trace()) {
             // a formula without the variable is not parametric: give it one
             let f = if contains_slice(&f) { f } else { Formula::or(f, pat("a", vec![v()])) };
-            let mut m = SlicedMonitor::new(&f).unwrap();
-            let scan = CompiledFormula::new(&f);
+            let mut m = SlicedMonitor::new(&f, Lowering::Delta).unwrap();
+            let scan = CompiledFormula::new(&f, Lowering::Delta);
             let mut prefix = Trace::new();
             for s in t.iter() {
                 for value in 0..7 {
@@ -777,8 +798,8 @@ mod tests {
             } else {
                 Formula::exists("V", domain, f)
             };
-            let mut m = SlicedMonitor::new(&q).unwrap();
-            let scan = CompiledFormula::new(&q);
+            let mut m = SlicedMonitor::new(&q, Lowering::Delta).unwrap();
+            let scan = CompiledFormula::new(&q, Lowering::Delta);
             let env = MapEnv::new();
             let mut prefix = Trace::new();
             for s in t.iter() {

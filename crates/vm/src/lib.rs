@@ -22,7 +22,7 @@
 //! with the same context strings. A term therefore yields **identical
 //! values and identical [`DataError`]s** through either path — the
 //! property the differential tests in `tests/differential.rs` and the
-//! runtime's `treewalk` oracle feature check.
+//! runtime's in-process [`Lowering::TreeWalk`] harness check.
 //!
 //! ## Fallback rule
 //!
@@ -36,13 +36,11 @@
 //!
 //! ## Oracle modes
 //!
-//! * the `treewalk` cargo feature disables the compiler crate-wide, so
-//!   every [`Compiled`] evaluates through `Term::eval` — the same role
-//!   `btree-state` plays for `StateMap`;
-//! * [`set_force_treewalk`] disables it at run time (checked at
-//!   *compile* time of each term, so set it before building programs) —
-//!   used by in-binary differential tests that need both pipelines in
-//!   one process.
+//! Every constructor takes a [`Lowering`], fixed once per compiled
+//! model: [`Lowering::Delta`] is the shipped engine, and
+//! [`Lowering::Recompute`] and [`Lowering::TreeWalk`] are its
+//! differential baselines. The choice is a plain value, so one process
+//! can hold all three side by side.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,7 +51,6 @@ mod program;
 
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use troll_data::{Env, Result, Term, Value};
@@ -61,48 +58,29 @@ use troll_obs::Counter;
 
 pub(crate) use program::Program;
 
-/// Run-time switch disabling the compiler (see [`set_force_treewalk`]).
-static FORCE_TREEWALK: AtomicBool = AtomicBool::new(false);
-
-/// Forces every *subsequently compiled* term onto the tree-walk
-/// evaluator, as if the `treewalk` feature were enabled. The flag is
-/// consulted when a [`Compiled`] is built, not on each evaluation, so
-/// set it **before** constructing the object base under test.
+/// How terms are lowered: the engine configuration a compiled model is
+/// built with. Each oracle variant switches off one optimisation of
+/// [`Lowering::Delta`], so the shipped engine can be checked against it
+/// in the same process.
 ///
-/// Intended for in-binary differential tests; production code selects
-/// the oracle with the `treewalk` cargo feature instead.
-pub fn set_force_treewalk(on: bool) {
-    FORCE_TREEWALK.store(on, Ordering::SeqCst);
+/// Tree walk implies recompute (a term with no program has no delta
+/// ops), so there is no fourth combination.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lowering {
+    /// Register bytecode, with delta-shaped valuation rules applied
+    /// incrementally — the shipped engine.
+    Delta,
+    /// Register bytecode, but delta-shaped valuation rules re-evaluate
+    /// their full value term — the recompute oracle.
+    Recompute,
+    /// No bytecode: every term evaluates through [`Term::eval`] — the
+    /// tree-walk oracle.
+    TreeWalk,
 }
 
-/// Whether [`set_force_treewalk`] is currently on.
-pub fn force_treewalk() -> bool {
-    FORCE_TREEWALK.load(Ordering::SeqCst)
-}
-
-/// Run-time switch disabling delta recognition (see
-/// [`set_force_recompute`]).
-static FORCE_RECOMPUTE: AtomicBool = AtomicBool::new(false);
-
-/// Forces every *subsequently built* valuation term
-/// ([`Compiled::new_valuation`]) to compile without delta recognition,
-/// so delta-shaped rules re-evaluate their full value term like any
-/// other — the recompute oracle for the incremental path. Like
-/// [`set_force_treewalk`] the flag is consulted at build time, so set
-/// it **before** constructing the object base under test.
-pub fn set_force_recompute(on: bool) {
-    FORCE_RECOMPUTE.store(on, Ordering::SeqCst);
-}
-
-/// Whether [`set_force_recompute`] is currently on.
-pub fn force_recompute() -> bool {
-    FORCE_RECOMPUTE.load(Ordering::SeqCst)
-}
-
-/// Whether new [`Compiled`] terms will use the tree walk (feature or
-/// run-time switch).
-fn treewalk_selected() -> bool {
-    cfg!(feature = "treewalk") || force_treewalk()
+impl Lowering {
+    /// Every configuration, the shipped one first.
+    pub const ALL: [Lowering; 3] = [Lowering::Delta, Lowering::Recompute, Lowering::TreeWalk];
 }
 
 fn compiled_counter() -> &'static Counter {
@@ -141,8 +119,7 @@ pub(crate) fn delta_applied_counter() -> &'static Counter {
 
 /// Counts a compile-time fallback and warns once per distinct term,
 /// naming it and why — so users learn which rules still tree-walk.
-/// Oracle modes (feature / [`set_force_treewalk`]) are deliberate and
-/// stay silent and uncounted.
+/// [`Lowering::TreeWalk`] is deliberate and stays silent and uncounted.
 ///
 /// Fallbacks fire while a model *compiles* — before any per-world
 /// observer exists — so the one-shot warning routes through the
@@ -181,10 +158,10 @@ fn note_fallback(term: &Term, why: &str) {
 ///
 /// ```
 /// use troll_data::{MapEnv, Op, Term, Value};
-/// use troll_vm::Compiled;
+/// use troll_vm::{Compiled, Lowering};
 ///
 /// let term = Term::apply(Op::Add, vec![Term::var("x"), Term::constant(2i64)]);
-/// let compiled = Compiled::new(term);
+/// let compiled = Compiled::new(term, Lowering::Delta);
 /// let mut env = MapEnv::new();
 /// env.bind("x", Value::from(40));
 /// assert_eq!(compiled.eval(&env)?, Value::from(42));
@@ -197,19 +174,20 @@ pub struct Compiled {
     prog: Option<Program>,
     free: Vec<String>,
     /// Recognized as a delta-able valuation root (set by
-    /// [`Compiled::new_valuation`] regardless of oracle mode).
+    /// [`Compiled::new_valuation`] under every [`Lowering`]).
     delta_shaped: bool,
-    /// The program actually contains delta ops (false in oracle and
-    /// forced-recompute modes and for compile-time fallbacks).
+    /// The program actually contains delta ops (false under the oracle
+    /// lowerings and for compile-time fallbacks).
     delta_lowered: bool,
 }
 
 impl Compiled {
     /// Lowers `term` to bytecode (or records a fallback; see the crate
-    /// docs) and precomputes its free variables.
-    pub fn new(term: Term) -> Compiled {
+    /// docs) and precomputes its free variables. Under
+    /// [`Lowering::TreeWalk`] no program is built.
+    pub fn new(term: Term, lowering: Lowering) -> Compiled {
         let free = term.free_vars();
-        let prog = if treewalk_selected() {
+        let prog = if lowering == Lowering::TreeWalk {
             None
         } else {
             match compile::compile(&term) {
@@ -244,19 +222,19 @@ impl Compiled {
     /// [`Compiled::new`] (counted by `vm.delta_unrecognized`, never an
     /// error); recognized shapes count as `vm.delta_lowered`.
     ///
-    /// Oracle modes: the `treewalk` feature / [`set_force_treewalk`]
-    /// disable lowering entirely as usual, and [`set_force_recompute`]
-    /// disables just the delta recognition so the rule recomputes its
-    /// full value term — the differential baseline for the incremental
-    /// path. Values and errors are identical on every path.
-    pub fn new_valuation(term: Term, attr: &str) -> Compiled {
+    /// Oracle lowerings: [`Lowering::TreeWalk`] builds no program as
+    /// usual, and [`Lowering::Recompute`] disables just the delta
+    /// recognition so the rule recomputes its full value term — the
+    /// differential baseline for the incremental path. Values and
+    /// errors are identical under every lowering.
+    pub fn new_valuation(term: Term, attr: &str, lowering: Lowering) -> Compiled {
         let shaped = compile::is_delta_root(&term, attr);
         if !shaped {
             delta_unrecognized_counter().inc();
-            return Compiled::new(term);
+            return Compiled::new(term, lowering);
         }
-        if treewalk_selected() || force_recompute() {
-            let mut c = Compiled::new(term);
+        if lowering != Lowering::Delta {
+            let mut c = Compiled::new(term, lowering);
             c.delta_shaped = true;
             return c;
         }
@@ -316,15 +294,15 @@ impl Compiled {
         &self.term
     }
 
-    /// Whether a bytecode program backs this term (false in oracle
-    /// modes and for compile-time fallbacks).
+    /// Whether a bytecode program backs this term (false under
+    /// [`Lowering::TreeWalk`] and for compile-time fallbacks).
     pub fn is_compiled(&self) -> bool {
         self.prog.is_some()
     }
 
     /// Whether [`Compiled::new_valuation`] recognized this term as a
-    /// delta-able valuation root — true even when an oracle mode or
-    /// [`set_force_recompute`] kept it on the recompute path. The
+    /// delta-able valuation root — true even when an oracle lowering
+    /// kept it on the recompute path. The
     /// runtime uses the combination with [`Compiled::delta_lowered`] to
     /// account delta-shaped rules that execute by full recompute.
     pub fn delta_shaped(&self) -> bool {
@@ -335,12 +313,6 @@ impl Compiled {
     /// (contains delta ops).
     pub fn delta_lowered(&self) -> bool {
         self.delta_lowered
-    }
-}
-
-impl From<Term> for Compiled {
-    fn from(term: Term) -> Compiled {
-        Compiled::new(term)
     }
 }
 
@@ -380,11 +352,12 @@ mod tests {
     /// Asserts tree walk and bytecode agree on `t` over `env` — the
     /// equivalence contract, on both the value and the error path.
     fn assert_agree(t: Term, env: &MapEnv) {
-        let compiled = Compiled::new(t.clone());
-        if !cfg!(feature = "treewalk") {
-            assert!(compiled.is_compiled(), "expected lowering for {t}");
-        }
+        let compiled = Compiled::new(t.clone(), Lowering::Delta);
+        assert!(compiled.is_compiled(), "expected lowering for {t}");
         assert_eq!(compiled.eval(env), t.eval(env), "divergence on {t}");
+        let walked = Compiled::new(t.clone(), Lowering::TreeWalk);
+        assert!(!walked.is_compiled(), "tree walk lowered {t}");
+        assert_eq!(walked.eval(env), t.eval(env), "tree walk diverged on {t}");
     }
 
     #[test]
@@ -409,7 +382,7 @@ mod tests {
         // even when the first already decides. The VM must not
         // short-circuit where the tree walk does not.
         let t = Term::apply(Op::And, vec![Term::constant(false), Term::var("missing")]);
-        let compiled = Compiled::new(t.clone());
+        let compiled = Compiled::new(t.clone(), Lowering::Delta);
         assert_eq!(
             compiled.eval(&env()).unwrap_err(),
             DataError::UnboundVariable("missing".into())
@@ -613,7 +586,11 @@ mod tests {
     /// evaluators the same way would still fail.
     #[test]
     fn select_dynamic_field_shadowing() {
-        let eval = |t: &Term| Compiled::new(t.clone()).eval(&env()).unwrap();
+        let eval = |t: &Term| {
+            Compiled::new(t.clone(), Lowering::Delta)
+                .eval(&env())
+                .unwrap()
+        };
         let row = |name: &str, sal: i64| {
             Value::tuple_of(vec![("name", Value::from(name)), ("sal", Value::from(sal))])
         };
@@ -710,11 +687,9 @@ mod tests {
     fn oversized_terms_fall_back_to_tree_walk() {
         let before = fallback_counter().get();
         let wide = Term::MkList((0..300).map(|i| Term::constant(i as i64)).collect());
-        let compiled = Compiled::new(wide.clone());
+        let compiled = Compiled::new(wide.clone(), Lowering::Delta);
         assert!(!compiled.is_compiled());
-        if !cfg!(feature = "treewalk") && !force_treewalk() {
-            assert!(fallback_counter().get() > before);
-        }
+        assert!(fallback_counter().get() > before);
         assert_eq!(compiled.eval(&env()), wide.eval(&env()));
     }
 
@@ -726,7 +701,7 @@ mod tests {
             Term::var("emps"),
             Term::eq(Term::var("x"), Term::var("e")),
         );
-        let compiled = Compiled::new(t);
+        let compiled = Compiled::new(t, Lowering::Delta);
         assert_eq!(compiled.free_vars(), ["emps".to_string(), "x".to_string()]);
     }
 
@@ -740,15 +715,24 @@ mod tests {
     }
 
     /// Asserts the valuation lowering of `t` (assigning `attr`) agrees
-    /// with the tree walk on value and error, and reports the expected
-    /// delta recognition.
+    /// with the tree walk on value and error under every [`Lowering`],
+    /// recognizes the expected delta shape under each, and lowers to
+    /// delta ops only under [`Lowering::Delta`].
     fn assert_valuation_agrees(t: Term, attr: &str, env: &MapEnv, expect_delta: bool) {
-        let c = Compiled::new_valuation(t.clone(), attr);
-        assert_eq!(c.delta_shaped(), expect_delta, "shape of {t}");
-        if !cfg!(feature = "treewalk") && !force_treewalk() && !force_recompute() {
-            assert_eq!(c.delta_lowered(), expect_delta, "lowering of {t}");
+        for lowering in Lowering::ALL {
+            let c = Compiled::new_valuation(t.clone(), attr, lowering);
+            assert_eq!(
+                c.delta_shaped(),
+                expect_delta,
+                "shape of {t} ({lowering:?})"
+            );
+            assert_eq!(
+                c.delta_lowered(),
+                expect_delta && lowering == Lowering::Delta,
+                "lowering of {t} ({lowering:?})"
+            );
+            assert_eq!(c.eval(env), t.eval(env), "divergence on {t} ({lowering:?})");
         }
-        assert_eq!(c.eval(env), t.eval(env), "divergence on {t}");
     }
 
     #[test]
@@ -801,7 +785,7 @@ mod tests {
         // guard false leaves the attribute unchanged through the
         // identity branch, without counting a delta application
         let before = delta_applied_counter().get();
-        let c = Compiled::new_valuation(guarded(Term::constant(false)), "S");
+        let c = Compiled::new_valuation(guarded(Term::constant(false)), "S", Lowering::Delta);
         assert_eq!(c.eval(&env).unwrap(), env.lookup("S").unwrap());
         if c.delta_lowered() {
             assert_eq!(delta_applied_counter().get(), before);
@@ -851,14 +835,13 @@ mod tests {
     }
 
     #[test]
-    fn force_recompute_disables_delta_lowering() {
+    fn recompute_lowering_disables_delta_lowering() {
         let env = coll_env();
         let t = Term::apply(Op::Insert, vec![Term::var("x"), Term::var("S")]);
-        set_force_recompute(true);
-        let c = Compiled::new_valuation(t.clone(), "S");
-        set_force_recompute(false);
+        let c = Compiled::new_valuation(t.clone(), "S", Lowering::Recompute);
         assert!(c.delta_shaped());
         assert!(!c.delta_lowered());
+        assert!(c.is_compiled());
         assert_eq!(c.eval(&env), t.eval(&env));
     }
 
@@ -866,11 +849,12 @@ mod tests {
     fn counters_advance() {
         let execs = exec_counter().get();
         let compiles = compiled_counter().get();
-        let c = Compiled::new(Term::apply(Op::Add, vec![Term::var("x"), Term::var("y")]));
+        let c = Compiled::new(
+            Term::apply(Op::Add, vec![Term::var("x"), Term::var("y")]),
+            Lowering::Delta,
+        );
         c.eval(&env()).unwrap();
-        if !cfg!(feature = "treewalk") && !force_treewalk() {
-            assert!(compiled_counter().get() > compiles);
-            assert!(exec_counter().get() > execs);
-        }
+        assert!(compiled_counter().get() > compiles);
+        assert!(exec_counter().get() > execs);
     }
 }

@@ -1,16 +1,14 @@
 //! Differential oracle: for random terms over random environments,
-//! `Compiled::new(t).eval(env)` must equal `t.eval(env)` **exactly** —
-//! the same value on success and the same `DataError` on failure
-//! (the crate's equivalence contract). Argument-arity mistakes, unbound
-//! variables, sort mismatches and partial operations are all generated
-//! on purpose so the error paths are compared too.
-//!
-//! Under `--features treewalk` both sides are the tree walk and the
-//! test is vacuous by design (the feature *is* the oracle switch).
+//! `Compiled::new(t, Lowering::Delta).eval(env)` must equal
+//! `t.eval(env)` **exactly** — the same value on success and the same
+//! `DataError` on failure (the crate's equivalence contract).
+//! Argument-arity mistakes, unbound variables, sort mismatches and
+//! partial operations are all generated on purpose so the error paths
+//! are compared too.
 
 use proptest::prelude::*;
 use troll_data::{MapEnv, Op, Quantifier, Term, Value};
-use troll_vm::Compiled;
+use troll_vm::{Compiled, Lowering};
 
 const VARS: [&str; 6] = ["x", "y", "s", "l", "t", "u"];
 
@@ -104,13 +102,13 @@ proptest! {
 
     #[test]
     fn compiled_eval_equals_tree_walk(t in arb_term(), env in arb_env()) {
-        let compiled = Compiled::new(t.clone());
+        let compiled = Compiled::new(t.clone(), Lowering::Delta);
         prop_assert_eq!(compiled.eval(&env), t.eval(&env), "term: {}", t);
     }
 
     #[test]
     fn free_vars_match_tree_walk(t in arb_term()) {
-        let compiled = Compiled::new(t.clone());
+        let compiled = Compiled::new(t.clone(), Lowering::Delta);
         prop_assert_eq!(compiled.free_vars().to_vec(), t.free_vars());
     }
 }

@@ -8,9 +8,10 @@
 //! timings: a step that starts deep-copying identities again, or
 //! re-encoding values on every monitor probe, trips them on any host.
 //!
-//! The budgets hold for the shipped engine: bytecode rules over
-//! structurally shared state. The oracle builds (`treewalk`,
-//! `btree-state`) copy by design; there the steps still run, unbudgeted.
+//! The budgets hold for the shipped engine: bytecode rules
+//! (`Lowering::Delta`, what `ObjectBase::new` builds) over structurally
+//! shared state. The `btree-state` oracle build copies by design; there
+//! the steps still run, unbudgeted.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -95,11 +96,12 @@ fn mean(total: u64) -> f64 {
     total as f64 / COUNTED as f64
 }
 
-/// Whether this build runs the shipped engine, not an oracle build.
+/// Whether this build shares state structurally, not the `btree-state`
+/// oracle build.
 fn shipped_engine() -> bool {
     let mut state = StateMap::new();
     state.insert("x", Value::Int(0));
-    !cfg!(feature = "treewalk") && state.clone().ptr_eq(&state)
+    state.clone().ptr_eq(&state)
 }
 
 /// `fire(P)` checks its permission through the sliced monitor and

@@ -4,6 +4,7 @@
 
 use troll::data::{Date, ObjectId, Term, Value};
 use troll::process::simulate;
+use troll::runtime::Lowering;
 use troll::temporal::{eval_now, EventPattern, Formula, Monitor};
 use troll::System;
 
@@ -52,8 +53,13 @@ fn monitor_agrees_with_evaluator_on_runtime_traces() {
     ];
     for f in formulas {
         let reference = eval_now(&f, &trace, &env).unwrap();
-        let monitored = Monitor::new(&f).unwrap().run(&trace, &env).unwrap();
-        assert_eq!(reference, monitored, "disagreement on {f}");
+        for lowering in Lowering::ALL {
+            let monitored = Monitor::new(&f, lowering)
+                .unwrap()
+                .run(&trace, &env)
+                .unwrap();
+            assert_eq!(reference, monitored, "disagreement on {f} ({lowering:?})");
+        }
     }
 }
 

@@ -1,148 +1,76 @@
 //! Replay-equality oracle for delta valuation: every shipped spec is
-//! driven through the same deterministic script twice — once with
-//! delta-shaped valuation rules lowered to incremental collection
-//! updates (the default) and once with
-//! [`troll_vm::set_force_recompute`] pinning every valuation rule to
-//! the full-recompute path — both sequentially and through a 4-shard
-//! executor, and the transcripts must match line for line.
+//! replayed in worlds compiled under `Lowering::Delta` and
+//! `Lowering::Recompute` (monitor cache on and off, sequential and
+//! 4-shard) and each transcript must equal the shipped configuration's
+//! line for line (`engine_harness.rs`).
 //!
-//! A property test then replays random insert/remove/append churn
-//! (hire/fire on a set, note/wipe on a list) with refused events mixed
-//! in — each refusal rolls the step back mid-sequence — and compares
-//! the two final worlds instance by instance.
-//!
-//! Under `--features treewalk` no rule is compiled at all, so both
-//! runs tree-walk and the comparisons check determinism only.
+//! The per-base valuation counters split exactly by lowering, and a
+//! property test replays random insert/remove/append churn (hire/fire
+//! on a set, note/wipe on a list) with refused events mixed in — each
+//! refusal rolls the step back mid-sequence — comparing the delta
+//! world with its recompute and tree-walk twins instance by instance.
 
+#[path = "engine_harness.rs"]
+mod engine_harness;
 #[path = "spec_workloads.rs"]
 mod spec_workloads;
 
-use std::sync::{Mutex, MutexGuard, OnceLock};
-
+use engine_harness::{assert_replays_as, reference_transcript};
 use proptest::prelude::*;
 use spec_workloads::workloads;
 use troll::data::{Date, ObjectId, Value};
-use troll::runtime::ObjectBase;
-use troll::script::{run_command, run_script_sharded};
-use troll::System;
+use troll::runtime::{Lowering, ObjectBase};
+use troll::script::run_command;
 
-/// `set_force_recompute` is process-global and consulted at
-/// `ObjectBase` build time; serialize every test that toggles it so a
-/// concurrently built base cannot land in the wrong configuration.
-fn flag_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
+/// A fresh world of `spec` compiled under `lowering`, monitor cache on.
+fn base(spec: &str, lowering: Lowering) -> ObjectBase {
+    engine_harness::base(spec, lowering, true)
 }
 
-fn base(spec: &str) -> ObjectBase {
-    System::load_str(spec)
-        .expect("spec loads")
-        .object_base()
-        .expect("object base")
-}
-
-/// Sequential transcript: every command's outcome or error, rendered.
-fn transcript(spec: &str, script: &[&str]) -> Vec<String> {
-    let mut ob = base(spec);
-    script
-        .iter()
-        .map(|line| match run_command(&mut ob, line) {
-            Ok(outcome) => format!("{line} => {outcome}"),
-            Err(e) => format!("{line} => error: {e}"),
-        })
-        .collect()
-}
-
-/// Sharded transcript: each line runs as its own one-line script, so
-/// `birth`/`exec` take the speculate-and-commit batch path while the
-/// run still continues past refused events exactly like the
-/// sequential transcript (whose error strings it must reproduce —
-/// the `line 1: ` prefix the batch runner adds is stripped).
-fn sharded_transcript(spec: &str, script: &[&str], shards: usize) -> Vec<String> {
-    let mut ws = base(spec).into_shards(shards);
-    script
-        .iter()
-        .map(|line| match run_script_sharded(&mut ws, line) {
-            Ok(outcomes) => format!("{line} => {}", outcomes[0]),
-            Err(e) => {
-                let e = e.strip_prefix("line 1: ").unwrap_or(&e);
-                format!("{line} => error: {e}")
-            }
-        })
-        .collect()
-}
-
-/// The 7-spec replay equality: delta-compiled and forced-recompute
-/// runs are byte-equal, sequentially and at 4 shards — and the
-/// sharded transcript equals the sequential one.
+/// The 7-spec replay equality: delta-compiled and recompute-compiled
+/// runs reproduce the shipped transcript, sequentially and at 4
+/// shards, with the monitor cache on and off.
 #[test]
 fn delta_and_recompute_replays_agree() {
-    let _guard = flag_lock();
     for (name, spec, script) in workloads() {
-        let delta_seq = transcript(spec, &script);
-        let delta_shard = sharded_transcript(spec, &script, 4);
-
-        troll_vm::set_force_recompute(true);
-        let oracle_seq = transcript(spec, &script);
-        let oracle_shard = sharded_transcript(spec, &script, 4);
-        troll_vm::set_force_recompute(false);
-
-        assert_eq!(
-            delta_seq, oracle_seq,
-            "spec `{name}`: delta and recompute sequential transcripts diverged"
-        );
-        assert_eq!(
-            delta_shard, oracle_shard,
-            "spec `{name}`: delta and recompute 4-shard transcripts diverged"
-        );
-        assert_eq!(
-            delta_seq, delta_shard,
-            "spec `{name}`: sharded transcript diverged from sequential"
-        );
-        assert!(
-            delta_seq.iter().any(|l| !l.contains("error:")),
-            "spec `{name}`: every line failed:\n{}",
-            delta_seq.join("\n")
-        );
+        let expected = reference_transcript(name, spec, &script);
+        for lowering in [Lowering::Delta, Lowering::Recompute] {
+            assert_replays_as(name, spec, &script, &expected, lowering);
+        }
     }
 }
 
-/// The per-base counters split exactly by configuration: the default
-/// build applies every delta-shaped rule incrementally
-/// (`valuation.recomputed == 0`), the forced build recomputes every
-/// one (`valuation.delta_applied == 0`).
+/// `valuation.delta_applied` and `valuation.recomputed` of a base.
+fn delta_counters(ob: &ObjectBase) -> (u64, u64) {
+    let snap = ob.metrics().snapshot();
+    let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+    (
+        counter("valuation.delta_applied"),
+        counter("valuation.recomputed"),
+    )
+}
+
+/// The per-base counters split exactly by lowering: the shipped engine
+/// applies every delta-shaped rule incrementally
+/// (`valuation.recomputed == 0`); the recompute and tree-walk oracles
+/// recompute every one (`valuation.delta_applied == 0`).
 #[test]
 fn delta_counters_split_by_configuration() {
-    if cfg!(feature = "treewalk") {
-        return; // no compiled model: neither counter can move
-    }
-    let _guard = flag_lock();
     let (_, spec, script) = workloads().remove(0); // dept: all churn rules are delta-shaped
-
-    let run = |script: &[&str]| {
-        let mut ob = base(spec);
-        for line in script {
+    for lowering in Lowering::ALL {
+        let mut ob = base(spec, lowering);
+        for line in &script {
             let _ = run_command(&mut ob, line);
         }
-        let snap = ob.metrics().snapshot();
-        let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
-        (
-            counter("valuation.delta_applied"),
-            counter("valuation.recomputed"),
-        )
-    };
-
-    let (applied, recomputed) = run(&script);
-    assert!(applied > 0, "no delta was ever applied on the dept spec");
-    assert_eq!(recomputed, 0, "a delta-shaped rule fell back to recompute");
-
-    troll_vm::set_force_recompute(true);
-    let (applied, recomputed) = run(&script);
-    troll_vm::set_force_recompute(false);
-    assert_eq!(applied, 0, "forced-recompute build still applied deltas");
-    assert!(recomputed > 0, "forced build never took the recompute path");
+        let (applied, recomputed) = delta_counters(&ob);
+        if lowering == Lowering::Delta {
+            assert!(applied > 0, "no delta was ever applied on the dept spec");
+            assert_eq!(recomputed, 0, "a delta-shaped rule fell back to recompute");
+        } else {
+            assert_eq!(applied, 0, "{lowering:?} applied deltas");
+            assert!(recomputed > 0, "{lowering:?} never took the recompute path");
+        }
+    }
 }
 
 /// Random churn corpus: a DEPT-style class whose permissions refuse
@@ -211,8 +139,8 @@ fn arb_op() -> impl Strategy<Value = ChurnOp> {
     ]
 }
 
-fn churn_base() -> ObjectBase {
-    let mut ob = base(CHURN_SPEC);
+fn churn_base(lowering: Lowering) -> ObjectBase {
+    let mut ob = base(CHURN_SPEC, lowering);
     ob.birth(
         "DEPT",
         vec![Value::from("D")],
@@ -245,47 +173,34 @@ fn apply(ob: &mut ObjectBase, op: &ChurnOp) -> Result<usize, String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Delta-applied and full-recompute runs agree step by step
-    /// (occurrence counts and refusal messages) and end in identical
-    /// worlds, on random insert/remove/append sequences with refused
-    /// events rolling back mid-sequence.
+    /// Delta-applied, full-recompute and tree-walk runs agree step by
+    /// step (occurrence counts and refusal messages) and end in
+    /// identical worlds, on random insert/remove/append sequences with
+    /// refused events rolling back mid-sequence.
     #[test]
     fn delta_matches_recompute_on_random_churn(ops in proptest::collection::vec(arb_op(), 1..60)) {
-        let _guard = flag_lock();
-        let mut delta = churn_base();
-        troll_vm::set_force_recompute(true);
-        let mut oracle = churn_base();
-        troll_vm::set_force_recompute(false);
-
-        let mut saw_refusal = false;
+        let mut worlds = Lowering::ALL.map(|lowering| (lowering, churn_base(lowering)));
         for (i, op) in ops.iter().enumerate() {
-            let d = apply(&mut delta, op);
-            let o = apply(&mut oracle, op);
-            saw_refusal |= d.is_err();
-            prop_assert_eq!(&d, &o, "step {} ({:?}) diverged", i, op);
+            let [(_, delta), oracles @ ..] = &mut worlds;
+            let expected = apply(delta, op);
+            for (lowering, oracle) in oracles {
+                prop_assert_eq!(
+                    &apply(oracle, op), &expected,
+                    "step {} ({:?}) diverged under {:?}", i, op, lowering
+                );
+            }
         }
-        let _ = saw_refusal; // sequences without refusals are still valid cases
 
+        let [(_, delta), oracles @ ..] = &worlds;
+        prop_assert_eq!(delta_counters(delta).1, 0, "a delta-shaped rule recomputed");
         let left: Vec<_> = delta.instances().collect();
-        let right: Vec<_> = oracle.instances().collect();
-        prop_assert_eq!(left.len(), right.len(), "instance count diverged");
-        for (x, y) in left.iter().zip(&right) {
-            prop_assert_eq!(x, y, "instance {} diverged", y.id());
-        }
-
-        if cfg!(not(feature = "treewalk")) {
-            let snap = delta.metrics().snapshot();
-            prop_assert_eq!(
-                snap.counters.get("valuation.recomputed").copied().unwrap_or(0),
-                0u64,
-                "a delta-shaped rule recomputed in the default build"
-            );
-            let osnap = oracle.metrics().snapshot();
-            prop_assert_eq!(
-                osnap.counters.get("valuation.delta_applied").copied().unwrap_or(0),
-                0u64,
-                "the forced-recompute build applied a delta"
-            );
+        for (lowering, oracle) in oracles {
+            prop_assert_eq!(delta_counters(oracle).0, 0, "{:?} applied a delta", lowering);
+            let right: Vec<_> = oracle.instances().collect();
+            prop_assert_eq!(left.len(), right.len(), "instance count diverged");
+            for (x, y) in left.iter().zip(&right) {
+                prop_assert_eq!(x, y, "instance {} diverged under {:?}", y.id(), lowering);
+            }
         }
     }
 }

@@ -1,71 +1,46 @@
-//! Replay-equality oracle for the bytecode VM: every shipped example
-//! spec is driven through the same deterministic script twice — once
-//! with rules compiled to bytecode (the default) and once with
-//! `troll_vm::set_force_treewalk` routing every `Compiled` back to the
-//! tree-walk evaluator — and the full transcripts (births, commits,
-//! refusals with their error messages, attribute observations, view
-//! renderings, obligations, ticks) must match line for line.
-//!
-//! Under `--features treewalk` both runs are tree walks and the
-//! comparison is vacuous by design (the feature *is* the oracle
-//! switch); the transcript equality then checks determinism only.
+//! Replay-equality oracle for the bytecode VM: every shipped spec is
+//! replayed in worlds compiled under `Lowering::TreeWalk` (monitor
+//! cache on and off, sequential and 4-shard) and each transcript must
+//! equal the bytecode-compiled shipped configuration's line for line
+//! (`engine_harness.rs`).
 
-use troll::script::run_command;
-use troll::System;
-
+#[path = "engine_harness.rs"]
+mod engine_harness;
 #[path = "spec_workloads.rs"]
 mod spec_workloads;
+
+use engine_harness::{assert_replays_as, reference_transcript};
 use spec_workloads::workloads;
+use troll::runtime::Lowering;
 
-/// Drives one spec through a script, rendering every outcome — success
-/// or failure — into a transcript line.
-fn transcript(spec: &str, script: &[&str]) -> Vec<String> {
-    let system = System::load_str(spec).expect("spec loads");
-    let mut ob = system.object_base().expect("object base");
-    script
-        .iter()
-        .map(|line| match run_command(&mut ob, line) {
-            Ok(outcome) => format!("{line} => {outcome}"),
-            Err(e) => format!("{line} => error: {e}"),
-        })
-        .collect()
-}
-
+/// The only test in this binary: the process-global `vm.*` counters it
+/// reads move for no other reason.
 #[test]
 fn bytecode_and_treewalk_replays_agree() {
-    let compiled_before = troll::obs::global().counter("vm.programs_compiled").get();
-    let fallback_before = troll::obs::global().counter("vm.fallback").get();
+    let counter = |name: &str| troll::obs::global().counter(name).get();
+    let compiled_before = counter("vm.programs_compiled");
+    let fallback_before = counter("vm.fallback");
     for (name, spec, script) in workloads() {
-        let with_bytecode = transcript(spec, &script);
-
-        troll_vm::set_force_treewalk(true);
-        let with_tree = transcript(spec, &script);
-        troll_vm::set_force_treewalk(false);
-
+        let with_bytecode = reference_transcript(name, spec, &script);
+        // a tree-walk world must never execute bytecode, not even in
+        // the monitors its cache builds lazily
+        let execs_before = counter("vm.exec");
+        assert_replays_as(name, spec, &script, &with_bytecode, Lowering::TreeWalk);
         assert_eq!(
-            with_bytecode, with_tree,
-            "spec `{name}`: bytecode and tree-walk transcripts diverged"
-        );
-        // the workload actually did something
-        assert!(
-            with_bytecode.iter().any(|l| !l.contains("error:")),
-            "spec `{name}`: every line failed:\n{}",
-            with_bytecode.join("\n")
+            counter("vm.exec"),
+            execs_before,
+            "spec `{name}`: a tree-walk world executed bytecode"
         );
     }
-    // the bytecode runs really were bytecode (skipped under the
-    // `treewalk` feature, where both sides intentionally tree-walk)
-    if cfg!(not(feature = "treewalk")) {
-        let compiled_after = troll::obs::global().counter("vm.programs_compiled").get();
-        assert!(
-            compiled_after > compiled_before,
-            "no rule was ever lowered to bytecode"
-        );
-        // every term in the shipped specs fits the compilable fragment
-        let fallback_after = troll::obs::global().counter("vm.fallback").get();
-        assert_eq!(
-            fallback_after, fallback_before,
-            "a shipped-spec term unexpectedly fell back to the tree walk"
-        );
-    }
+    // the reference runs really were bytecode
+    assert!(
+        counter("vm.programs_compiled") > compiled_before,
+        "no rule was ever lowered to bytecode"
+    );
+    // every term in the shipped specs fits the compilable fragment
+    assert_eq!(
+        counter("vm.fallback"),
+        fallback_before,
+        "a shipped-spec term unexpectedly fell back to the tree walk"
+    );
 }
