@@ -6,8 +6,8 @@
 //! troll fmt <file.troll>          print the normalized source
 //! troll info <file.troll>         summarize classes/interfaces/modules
 //! troll graph <file.troll>        emit a Graphviz DOT system diagram
-//! troll animate [--stats] [--trace <out.jsonl>] [--shards N]
-//!               [--durable <dir>] [--fsync <policy>] [--snapshot-every N]
+//! troll animate [--stats] [--trace <out.jsonl>] [--durable <dir>]
+//!               [--fsync <policy>] [--snapshot-every N]
 //!               [--profile <out>] [--metrics <out>]
 //!               [--stats-stream <out.jsonl>] [--stats-every N]
 //!               <file> <script>      run an animation script
@@ -48,7 +48,7 @@ commands:
   fmt <file.troll>                             print the normalized source
   info <file.troll>                            summarize classes/interfaces/modules
   graph <file.troll>                           emit a Graphviz DOT system diagram
-  animate [--stats] [--trace <out>] [--shards N] [--durable <dir>]
+  animate [--stats] [--trace <out>] [--durable <dir>]
           [--fsync <policy>] [--snapshot-every N] [--profile <out>]
           [--metrics <out>] [--stats-stream <out>] [--stats-every N]
           <file> <script>                      run an animation script
@@ -72,11 +72,9 @@ fn usage(command: Option<&str>) -> ExitCode {
         Some("fmt") => "usage: troll fmt <file.troll>\nprint the normalized (pretty-printed) source to stdout",
         Some("info") => "usage: troll info <file.troll>\nsummarize classes, interfaces and modules of a specification",
         Some("graph") => "usage: troll graph <file.troll>\nemit a Graphviz DOT diagram of the system structure",
-        Some("animate") | Some("profile") => "usage: troll animate [--stats] [--trace <out.jsonl>] [--shards N] [--durable <dir>] [--fsync <policy>] [--snapshot-every N] [--profile <out>] [--metrics <out>] [--stats-stream <out.jsonl>] [--stats-every N] <file.troll> <script>\n       troll profile [same flags] <file.troll> <script>\nrun an animation script against the specification
+        Some("animate") | Some("profile") => "usage: troll animate [--stats] [--trace <out.jsonl>] [--durable <dir>] [--fsync <policy>] [--snapshot-every N] [--profile <out>] [--metrics <out>] [--stats-stream <out.jsonl>] [--stats-every N] <file.troll> <script>\n       troll profile [same flags] <file.troll> <script>\nrun an animation script against the specification
   --stats           print runtime metrics (steps, permissions, monitor cache, latency) after the run
   --trace <file>    stream one JSON object per observability event to <file>
-  --shards <N>      execute consecutive birth/exec lines as parallel batches over N shards
-                    (deterministic: observationally equal to the sequential run)
   --durable <dir>   log every committed step to <dir> (WAL + snapshots); an existing
                     directory is crash-recovered first and the run continues its history
   --fsync <policy>  every-commit | every-<N> | group[:<N>] | on-close (with --durable; default every-commit)
@@ -300,7 +298,6 @@ struct AnimateOpts {
     script: String,
     stats: bool,
     trace: Option<String>,
-    shards: usize,
     durable: Option<String>,
     fsync: FsyncPolicy,
     snapshot_every: u64,
@@ -323,7 +320,6 @@ impl AnimateOpts {
     fn parse(args: &[String]) -> Option<Self> {
         let mut stats = false;
         let mut trace = None;
-        let mut shards = 1;
         let mut durable = None;
         let mut fsync = None;
         let mut snapshot_every = None;
@@ -337,7 +333,6 @@ impl AnimateOpts {
             match a.as_str() {
                 "--stats" => stats = true,
                 "--trace" => trace = Some(it.next()?.clone()),
-                "--shards" => shards = it.next()?.parse().ok().filter(|&n| n >= 1)?,
                 "--durable" => durable = Some(it.next()?.clone()),
                 "--fsync" => fsync = Some(it.next()?.parse::<FsyncPolicy>().ok()?),
                 "--snapshot-every" => snapshot_every = Some(it.next()?.parse::<u64>().ok()?),
@@ -365,7 +360,6 @@ impl AnimateOpts {
             script: script.clone(),
             stats,
             trace,
-            shards,
             durable,
             fsync: fsync.unwrap_or(FsyncPolicy::EveryCommit),
             snapshot_every: snapshot_every.unwrap_or(256),
@@ -474,16 +468,8 @@ fn animate_world(
     }
     let script_text =
         std::fs::read_to_string(&opts.script).map_err(|e| format!("{}: {e}", opts.script))?;
-    let outcomes = if opts.shards > 1 {
-        let mut ws = ob.into_shards(opts.shards);
-        let outcomes = troll::script::run_script_sharded(&mut ws, &script_text)
-            .map_err(|e| format!("{}:{e}", opts.script))?;
-        ob = ws.into_base();
-        outcomes
-    } else {
-        troll::script::run_script(&mut ob, &script_text)
-            .map_err(|e| format!("{}:{e}", opts.script))?
-    };
+    let outcomes = troll::script::run_script(&mut ob, &script_text)
+        .map_err(|e| format!("{}:{e}", opts.script))?;
     for outcome in outcomes {
         println!("{outcome}");
     }

@@ -116,61 +116,6 @@ pub enum ObsEvent {
         /// Wall-clock duration until the rollback.
         nanos: u64,
     },
-    /// A submitted event was routed to a shard inbox; allocates the
-    /// event's causal span id (one span per submitted event, stable
-    /// across speculation, conflict re-runs, and commit).
-    EventRouted {
-        /// Causal span id of the submitted event.
-        span: u64,
-        /// Shard index the event was routed to.
-        shard: usize,
-        /// Position within the submitted batch (== commit order).
-        batch_index: usize,
-        /// Rendering of the occurrence (`id[class].event`).
-        initial: String,
-    },
-    /// A shard worker began speculating the spanned event against the
-    /// frozen pre-batch snapshot.
-    SpeculationStarted {
-        /// Causal span id.
-        span: u64,
-        /// Shard index doing the speculation.
-        shard: usize,
-    },
-    /// A shard worker finished speculating the spanned event.
-    SpeculationFinished {
-        /// Causal span id.
-        span: u64,
-        /// Shard index that speculated.
-        shard: usize,
-        /// Whether the speculation produced a committable step.
-        ok: bool,
-        /// Wall-clock duration of the speculation.
-        nanos: u64,
-    },
-    /// A speculation was invalidated at commit time (its read set or
-    /// lifecycle assumptions overlapped an earlier commit in the batch)
-    /// and the event will re-run sequentially.
-    SpeculationConflict {
-        /// Causal span id.
-        span: u64,
-        /// What invalidated it (dirty read set or lifecycle overlap).
-        reason: String,
-    },
-    /// Commit-time resolution of a causal span: links the span to the
-    /// step attempt that consumed it (or to no attempt at all for
-    /// events that failed before an attempt was allocated).
-    SpanClosed {
-        /// Causal span id.
-        span: u64,
-        /// The step-attempt sequence number the span resolved to, if
-        /// one was allocated (`StepCommitted`/`StepRolledBack` carry
-        /// the same number).
-        step: Option<u64>,
-        /// `"committed"`, `"rolled_back"`, or `"rejected"` (failed
-        /// before any attempt, e.g. unknown event).
-        outcome: String,
-    },
     /// The durable store appended a committed step to the WAL.
     StoreAppended {
         /// Step-attempt sequence number of the committed step.
@@ -231,11 +176,6 @@ impl ObsEvent {
             ObsEvent::MonitorFed { .. } => "monitor_fed",
             ObsEvent::StepCommitted { .. } => "step_committed",
             ObsEvent::StepRolledBack { .. } => "step_rolled_back",
-            ObsEvent::EventRouted { .. } => "event_routed",
-            ObsEvent::SpeculationStarted { .. } => "speculation_started",
-            ObsEvent::SpeculationFinished { .. } => "speculation_finished",
-            ObsEvent::SpeculationConflict { .. } => "speculation_conflict",
-            ObsEvent::SpanClosed { .. } => "span_closed",
             ObsEvent::StoreAppended { .. } => "store_appended",
             ObsEvent::StoreFsynced { .. } => "store_fsynced",
             ObsEvent::SnapshotWritten { .. } => "snapshot_written",
@@ -326,45 +266,6 @@ impl ObsEvent {
                 push_field_u64(&mut out, "step", *step);
                 push_field_str(&mut out, "reason", reason);
                 push_field_u64(&mut out, "nanos", *nanos);
-            }
-            ObsEvent::EventRouted {
-                span,
-                shard,
-                batch_index,
-                initial,
-            } => {
-                push_field_u64(&mut out, "span", *span);
-                push_field_u64(&mut out, "shard", *shard as u64);
-                push_field_u64(&mut out, "batch_index", *batch_index as u64);
-                push_field_str(&mut out, "initial", initial);
-            }
-            ObsEvent::SpeculationStarted { span, shard } => {
-                push_field_u64(&mut out, "span", *span);
-                push_field_u64(&mut out, "shard", *shard as u64);
-            }
-            ObsEvent::SpeculationFinished {
-                span,
-                shard,
-                ok,
-                nanos,
-            } => {
-                push_field_u64(&mut out, "span", *span);
-                push_field_u64(&mut out, "shard", *shard as u64);
-                push_field_bool(&mut out, "ok", *ok);
-                push_field_u64(&mut out, "nanos", *nanos);
-            }
-            ObsEvent::SpeculationConflict { span, reason } => {
-                push_field_u64(&mut out, "span", *span);
-                push_field_str(&mut out, "reason", reason);
-            }
-            ObsEvent::SpanClosed {
-                span,
-                step,
-                outcome,
-            } => {
-                push_field_u64(&mut out, "span", *span);
-                push_field_opt_u64(&mut out, "step", *step);
-                push_field_str(&mut out, "outcome", outcome);
             }
             ObsEvent::StoreAppended { step, seq } => {
                 push_field_u64(&mut out, "step", *step);
@@ -541,32 +442,6 @@ mod tests {
                 nanos: 0,
             }
             .kind(),
-            ObsEvent::EventRouted {
-                span: 0,
-                shard: 0,
-                batch_index: 0,
-                initial: String::new(),
-            }
-            .kind(),
-            ObsEvent::SpeculationStarted { span: 0, shard: 0 }.kind(),
-            ObsEvent::SpeculationFinished {
-                span: 0,
-                shard: 0,
-                ok: true,
-                nanos: 0,
-            }
-            .kind(),
-            ObsEvent::SpeculationConflict {
-                span: 0,
-                reason: String::new(),
-            }
-            .kind(),
-            ObsEvent::SpanClosed {
-                span: 0,
-                step: None,
-                outcome: String::new(),
-            }
-            .kind(),
             ObsEvent::StoreAppended { step: 0, seq: 0 }.kind(),
             ObsEvent::StoreFsynced { step: 0, nanos: 0 }.kind(),
             ObsEvent::SnapshotWritten { seq: 0, nanos: 0 }.kind(),
@@ -590,20 +465,26 @@ mod tests {
 
     #[test]
     fn optional_fields_encode_as_null() {
-        let ev = ObsEvent::SpanClosed {
-            span: 9,
-            step: None,
-            outcome: "rejected".into(),
+        let ev = ObsEvent::StoreRecovered {
+            snapshot_seq: None,
+            replayed: 3,
+            truncated_bytes: 0,
+            next_seq: 3,
         };
         assert_eq!(
             ev.to_json(),
-            r#"{"ev":"span_closed","span":9,"step":null,"outcome":"rejected"}"#
+            r#"{"ev":"store_recovered","snapshot_seq":null,"replayed":3,"truncated_bytes":0,"next_seq":3}"#
         );
-        let ev = ObsEvent::SpanClosed {
-            span: 9,
-            step: Some(4),
-            outcome: "committed".into(),
+        let ev = ObsEvent::StoreRecovered {
+            snapshot_seq: Some(4),
+            replayed: 0,
+            truncated_bytes: 0,
+            next_seq: 4,
         };
-        assert!(ev.to_json().contains("\"step\":4"), "{}", ev.to_json());
+        assert!(
+            ev.to_json().contains("\"snapshot_seq\":4"),
+            "{}",
+            ev.to_json()
+        );
     }
 }

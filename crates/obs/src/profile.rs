@@ -23,9 +23,7 @@
 //! crates sharing one registry (the store's fsync phase nests under the
 //! runtime's sink phase without either knowing about the other), and a
 //! `&self` engine method can record phases without threading a mutable
-//! profiler through every signature. A step that migrates threads
-//! mid-flight (sharded speculation vs commit) simply records each
-//! phase on the thread that ran it — histograms are process-shared.
+//! profiler through every signature.
 //!
 //! Disabled cost: instrumented code consults one cached `bool` before
 //! constructing a guard (the same discipline as event emission), so a
@@ -223,24 +221,12 @@ pub fn phase_table(snapshot: &MetricsSnapshot) -> String {
         }
     }
     rows.sort_by(|a, b| b.1.sum_ns.cmp(&a.1.sum_ns).then(a.0.cmp(b.0)));
-    // Sequential steps (and conflicted re-runs) record
-    // `step.latency_ns`; the sharded commit loop records its own
-    // machinery in `shard.commit_latency_ns` (re-run time subtracted,
-    // since the nested execute already recorded it); parallel
-    // speculation records `shard.speculation_latency_ns` on the worker
-    // threads. The three are disjoint and together cover every window
-    // in which phases record, so the share denominator sums them all —
-    // `steps` counts only committed envelopes, not speculations.
-    let (mut steps, mut total_latency) = (0, 0u64);
-    for name in ["step.latency_ns", "shard.commit_latency_ns"] {
-        if let Some(h) = snapshot.histograms.get(name) {
-            steps += h.count;
-            total_latency += h.sum_ns;
-        }
-    }
-    if let Some(h) = snapshot.histograms.get("shard.speculation_latency_ns") {
-        total_latency += h.sum_ns;
-    }
+    // Every step records `step.latency_ns` around the window in which
+    // its phases record, so that histogram is the share denominator.
+    let (steps, total_latency) = snapshot
+        .histograms
+        .get("step.latency_ns")
+        .map_or((0, 0), |h| (h.count, h.sum_ns));
     let accounted: u64 = rows.iter().map(|(_, h)| h.sum_ns).sum();
     let denom = if total_latency > 0 {
         total_latency

@@ -9,7 +9,7 @@ use std::sync::{Arc, Mutex};
 
 /// A small dense ordinal for the calling thread, assigned on first use
 /// (0, 1, 2, …) — stable for the thread's lifetime. Used to tag trace
-/// lines so cross-thread timelines (sharded speculation) can be
+/// lines so cross-thread timelines (a server's worker threads) can be
 /// regrouped offline. `std::thread::ThreadId` has no stable integer
 /// form, hence the hand-rolled scheme.
 pub fn thread_ord() -> u64 {
@@ -129,8 +129,8 @@ where
     W: std::fmt::Debug,
 {
     fn on_event(&self, event: &ObsEvent) {
-        // Tag each line with the emitting thread's ordinal so sharded
-        // traces (speculation on workers, commit on the caller) can be
+        // Tag each line with the emitting thread's ordinal so traces
+        // written from several threads (a server's workers) can be
         // re-grouped into per-thread timelines offline. The tag is
         // spliced before the closing brace to keep the `{"ev":...}`
         // line shape.

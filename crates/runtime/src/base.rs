@@ -9,7 +9,6 @@ use crate::monitor_cache::{
 };
 use crate::persist::{InstanceDump, StepSink};
 use crate::{Result, RuntimeError};
-use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -86,117 +85,17 @@ struct Working {
 
 /// A fully checked but uncommitted step: the output of
 /// [`ObjectBase::prepare_step`], consumed by
-/// [`ObjectBase::commit_prepared`]. The sharded executor prepares steps
-/// against a frozen base on worker threads and commits them later, in
-/// deterministic batch order (see the `shard` module).
+/// [`ObjectBase::commit_prepared`]. The split is the rollback
+/// boundary: a step that fails while being prepared has mutated
+/// nothing.
 #[derive(Debug)]
-pub(crate) struct PreparedStep {
+struct PreparedStep {
     /// The externally requested occurrences, before closure under event
     /// calling — what a durable log records (replay re-runs the engine).
     initial: Vec<Occurrence>,
     occurrences: Vec<Occurrence>,
     working: BTreeMap<ObjectId, Working>,
     alias_snapshots: BTreeMap<ObjectId, StateMap>,
-}
-
-impl PreparedStep {
-    /// Identities this step writes (working-set keys).
-    pub(crate) fn write_ids(&self) -> impl Iterator<Item = &ObjectId> {
-        self.working.keys()
-    }
-}
-
-/// Records the committed-state observations a speculative step makes,
-/// so the sharded committer can validate them before applying the step.
-/// Observed state roots are compared with the O(1) [`StateMap::ptr_eq`]
-/// fast path at validation time.
-#[derive(Debug, Default)]
-pub(crate) struct ReadTracker {
-    set: RefCell<ReadSet>,
-}
-
-impl ReadTracker {
-    fn record_state(&self, id: &ObjectId, observed: Option<&StateMap>) {
-        self.set
-            .borrow_mut()
-            .states
-            .entry(id.clone())
-            .or_insert_with(|| observed.cloned());
-    }
-
-    fn record_target(&self, id: &ObjectId, inst: Option<&Instance>) {
-        self.set
-            .borrow_mut()
-            .targets
-            .entry(id.clone())
-            .or_insert_with(|| inst.map(InstanceMark::of));
-    }
-
-    fn record_population(&self, class: &str) {
-        self.set.borrow_mut().populations.insert(class.to_string());
-    }
-
-    /// Consumes the tracker into its accumulated read set.
-    pub(crate) fn into_set(self) -> ReadSet {
-        self.set.into_inner()
-    }
-}
-
-/// The accumulated reads of one speculative step.
-#[derive(Debug, Default)]
-pub(crate) struct ReadSet {
-    /// Committed state roots observed through `World::state_of`
-    /// (`None`: the instance did not exist at read time).
-    pub(crate) states: BTreeMap<ObjectId, Option<StateMap>>,
-    /// Fingerprints of occurrence targets, whose traces and life-cycle
-    /// flags the step also inspected (`None`: absent at read time).
-    pub(crate) targets: BTreeMap<ObjectId, Option<InstanceMark>>,
-    /// Classes whose population was enumerated.
-    pub(crate) populations: BTreeSet<String>,
-}
-
-/// O(1)-comparable fingerprint of a committed instance at read time.
-#[derive(Debug)]
-pub(crate) struct InstanceMark {
-    state: StateMap,
-    trace_len: usize,
-    alive: bool,
-    born: bool,
-    roles: Vec<(String, bool, usize)>,
-}
-
-impl InstanceMark {
-    fn of(inst: &Instance) -> InstanceMark {
-        InstanceMark {
-            state: inst.state.clone(),
-            trace_len: inst.trace.len(),
-            alive: inst.alive,
-            born: inst.born,
-            roles: inst
-                .roles
-                .iter()
-                .map(|(name, r)| (name.clone(), r.active, r.trace.len()))
-                .collect(),
-        }
-    }
-
-    /// Whether the instance is observationally unchanged since the
-    /// fingerprint was taken (state-root `ptr_eq`, trace length,
-    /// life-cycle flags and role signature).
-    pub(crate) fn matches(&self, inst: &Instance) -> bool {
-        self.state.ptr_eq(&inst.state)
-            && self.trace_len == inst.trace.len()
-            && self.alive == inst.alive
-            && self.born == inst.born
-            && self.roles.len() == inst.roles.len()
-            && self
-                .roles
-                .iter()
-                .zip(inst.roles.iter())
-                .all(|((n, active, tlen), (name, r))| {
-                    n == name && *active == r.active && *tlen == r.trace.len()
-                })
-    }
 }
 
 /// Resolved handles into the object base's [`Metrics`] registry — one
@@ -511,8 +410,7 @@ impl ObjectBase {
     // ----- durability hooks (see `troll-store`) ---------------------
 
     /// Attaches a step sink: it is called once per committed step, in
-    /// commit order, on the sequential and sharded commit paths alike.
-    /// Replaces any previously attached sink.
+    /// commit order. Replaces any previously attached sink.
     pub fn set_step_sink(&mut self, sink: Box<dyn StepSink>) {
         self.step_sink = Some(sink);
     }
@@ -572,17 +470,9 @@ impl ObjectBase {
     }
 
     /// Iterates over every instance — alive or dead — in identity
-    /// order. Useful for whole-world comparisons (e.g. the sharded
-    /// replay-equality tests).
+    /// order. Useful for whole-world comparisons.
     pub fn instances(&self) -> impl Iterator<Item = &Instance> {
         self.instances.values()
-    }
-
-    /// Wraps this base in a sharded parallel executor that partitions
-    /// instances across `shards` worker threads and commits batches in
-    /// deterministic order (see [`crate::WorldShards`]).
-    pub fn into_shards(self, shards: usize) -> crate::WorldShards {
-        crate::WorldShards::from_base(self, shards)
     }
 
     /// The singleton instance id of a singleton object class.
@@ -921,37 +811,34 @@ impl ObjectBase {
         initial: Vec<Occurrence>,
         cache: &mut MonitorCache,
     ) -> Result<StepReport> {
-        let prepared = self.prepare_step(initial, cache, None)?;
+        let prepared = self.prepare_step(initial, cache)?;
         Ok(self.commit_prepared(prepared, cache))
     }
 
     /// The read-only half of a step: closes the occurrence set under
     /// event calling, applies every occurrence to a working set
     /// (life-cycle, permissions, valuation) and checks constraints —
-    /// everything short of mutating the instance store. With `reads`
-    /// attached, every committed-state observation is recorded so a
-    /// sharded committer can validate the speculation later.
+    /// everything short of mutating the instance store.
     fn prepare_step(
         &self,
         initial: Vec<Occurrence>,
         cache: &mut MonitorCache,
-        reads: Option<&ReadTracker>,
     ) -> Result<PreparedStep> {
         let occurrences = {
             let _closure = self.phase(Phase::Closure);
-            self.close_over_calls(initial.clone(), reads)?
+            self.close_over_calls(initial.clone())?
         };
         let mut working: BTreeMap<ObjectId, Working> = BTreeMap::new();
 
         for occ in &occurrences {
-            self.apply_occurrence(occ, &mut working, cache, reads)?;
+            self.apply_occurrence(occ, &mut working, cache)?;
         }
 
         // constraints on post-states
         {
             let _constraints = self.phase(Phase::Constraints);
             for (id, w) in &working {
-                self.check_constraints(id, w, &working, cache, reads)?;
+                self.check_constraints(id, w, &working, cache)?;
             }
         }
 
@@ -970,7 +857,6 @@ impl ObjectBase {
                         let overlay = Overlay {
                             base: self,
                             working: &working,
-                            reads,
                         };
                         let snapshot = env::materialize_aliases(&overlay, class, &w.state)?;
                         alias_snapshots.insert(id.clone(), snapshot);
@@ -1060,93 +946,11 @@ impl ObjectBase {
         StepReport { occurrences }
     }
 
-    /// Prepares one externally addressed event (the sharded executor's
-    /// speculation entry point): resolves the context class and runs
-    /// [`ObjectBase::prepare_step`], recording every committed-state
-    /// observation into `reads`.
-    pub(crate) fn prepare_event(
-        &self,
-        id: &ObjectId,
-        event: &str,
-        args: Vec<Value>,
-        cache: &mut MonitorCache,
-        reads: Option<&ReadTracker>,
-    ) -> Result<PreparedStep> {
-        if let Some(r) = reads {
-            r.record_target(id, self.instances.get(id));
-        }
-        let ctx_class = self.resolve_context(id, event)?;
-        let initial = Occurrence {
-            id: id.clone(),
-            ctx_class,
-            event: event.to_string(),
-            args,
-        };
-        self.prepare_step(vec![initial], cache, reads)
-    }
-
-    /// Commits a validated speculation with the same bookkeeping as
-    /// [`ObjectBase::execute_step`]: step sequence number, observer
-    /// span/events and step counters. The step latency histogram is
-    /// *not* fed — speculation ran elsewhere, so only the sharded
-    /// commit-latency histogram describes this path.
-    pub(crate) fn commit_speculated(&mut self, prepared: PreparedStep) -> StepReport {
-        let seq = self.step_seq;
-        self.step_seq += 1;
-        if self.observing {
-            self.observer.span_enter("step");
-            if let Some(first) = prepared.occurrences.first() {
-                self.observer.on_event(&ObsEvent::StepStarted {
-                    step: seq,
-                    initial: first.to_string(),
-                });
-            }
-        }
-        let start = Instant::now();
-        let envelope = self.phase(Phase::Envelope);
-        let mut cache = std::mem::take(&mut self.monitor_cache);
-        let report = self.commit_prepared(prepared, &mut cache);
-        self.monitor_cache = cache;
-        drop(envelope);
-        let nanos = start.elapsed().as_nanos() as u64;
-        self.counters.steps_committed.inc();
-        self.counters
-            .events_occurred
-            .add(report.occurrences.len() as u64);
-        self.emit(|| ObsEvent::StepCommitted {
-            step: seq,
-            occurrences: report.occurrences.len(),
-            nanos,
-        });
-        if self.observing {
-            self.observer.span_exit("step", nanos);
-        }
-        report
-    }
-
-    /// Records a speculation whose refusal/violation was validated as
-    /// deterministic (its reads still hold), mirroring the rolled-back
-    /// branch of [`ObjectBase::execute_step`].
-    pub(crate) fn record_speculated_rollback(&mut self, error: &RuntimeError) {
-        let seq = self.step_seq;
-        self.step_seq += 1;
-        self.counters.steps_rolled_back.inc();
-        self.emit(|| ObsEvent::StepRolledBack {
-            step: seq,
-            reason: error.to_string(),
-            nanos: 0,
-        });
-    }
-
     /// Closes the initial occurrences under local interactions, global
     /// interactions and phase/role event aliases (synchronous event
     /// calling, §4). Argument terms of called events are evaluated in
     /// the **pre-state** of the calling object.
-    fn close_over_calls(
-        &self,
-        initial: Vec<Occurrence>,
-        reads: Option<&ReadTracker>,
-    ) -> Result<Vec<Occurrence>> {
+    fn close_over_calls(&self, initial: Vec<Occurrence>) -> Result<Vec<Occurrence>> {
         let mut result: Vec<Occurrence> = Vec::new();
         let mut queue: VecDeque<Occurrence> = initial.into();
         while let Some(occ) = queue.pop_front() {
@@ -1180,7 +984,7 @@ impl ObjectBase {
                 let params = bind_params(&rule.trigger_params, &occ.args, &occ.event)?;
                 for (call_idx, call) in rule.calls.iter().enumerate() {
                     let compiled = &cc.interactions[rule_idx][call_idx];
-                    let callee = self.resolve_call(&occ, class, call, &params, compiled, reads)?;
+                    let callee = self.resolve_call(&occ, class, call, &params, compiled)?;
                     queue.push_back(callee);
                 }
             }
@@ -1201,7 +1005,7 @@ impl ObjectBase {
                 }
                 for (call_idx, call) in rule.calls.iter().enumerate() {
                     let compiled = &self.compiled.globals[rule_idx][call_idx];
-                    let callee = self.resolve_call(&occ, class, call, &params, compiled, reads)?;
+                    let callee = self.resolve_call(&occ, class, call, &params, compiled)?;
                     queue.push_back(callee);
                 }
             }
@@ -1240,9 +1044,8 @@ impl ObjectBase {
         call: &troll_lang::LoweredCall,
         params: &BTreeMap<String, Value>,
         compiled: &CompiledCall,
-        reads: Option<&ReadTracker>,
     ) -> Result<Occurrence> {
-        let world = Reading { base: self, reads };
+        let world = Committed(self);
         // a birth occurrence's calls see the newborn's initial state:
         // identification attributes from the identity key, everything
         // else undefined, incorporation aliases bound to singletons
@@ -1347,7 +1150,6 @@ impl ObjectBase {
         occ: &Occurrence,
         working: &mut BTreeMap<ObjectId, Working>,
         cache: &mut MonitorCache,
-        reads: Option<&ReadTracker>,
     ) -> Result<()> {
         let class = self
             .model
@@ -1382,13 +1184,6 @@ impl ObjectBase {
 
         // materialize the working entry
         if !working.contains_key(&occ.id) {
-            // every call target's committed fingerprint (state root,
-            // trace length, life-cycle flags) is part of a speculative
-            // step's read set — permissions and constraints below read
-            // the committed trace directly
-            if let Some(r) = reads {
-                r.record_target(&occ.id, self.instances.get(&occ.id));
-            }
             let w = match self.instances.get(&occ.id) {
                 Some(inst) => Working {
                     class: inst.class().to_string(),
@@ -1503,7 +1298,6 @@ impl ObjectBase {
                 let overlay = Overlay {
                     base: self,
                     working,
-                    reads,
                 };
                 let env_guard = self.phase(Phase::Env);
                 let env = env::build_env(
@@ -1608,7 +1402,6 @@ impl ObjectBase {
                 let overlay = Overlay {
                     base: self,
                     working,
-                    reads,
                 };
                 let env = {
                     let _env = self.phase(Phase::Env);
@@ -1701,12 +1494,10 @@ impl ObjectBase {
         w: &Working,
         working: &BTreeMap<ObjectId, Working>,
         cache: &mut MonitorCache,
-        reads: Option<&ReadTracker>,
     ) -> Result<()> {
         let overlay = Overlay {
             base: self,
             working,
-            reads,
         };
         let base_class = match self.model.class(&w.class) {
             Some(c) => c,
@@ -1865,8 +1656,8 @@ impl ObjectBase {
 /// The working-map entry for `id`, which `apply_occurrence`
 /// materializes before use. A calling chain that leaves the map without
 /// the expected entry (e.g. a callee dying mid-step) must surface as a
-/// rolled-back [`RuntimeError::Internal`], never a panic — steps run on
-/// shard worker threads, where a panic would poison the whole world.
+/// rolled-back [`RuntimeError::Internal`], never a panic — served steps
+/// run under the world's lock, which a panic would poison.
 fn working_entry<'a>(
     working: &'a BTreeMap<ObjectId, Working>,
     id: &ObjectId,
@@ -1999,48 +1790,10 @@ impl World for Committed<'_> {
     }
 }
 
-/// World view over committed state that records what it reads (the
-/// speculative counterpart of [`Committed`], used when resolving
-/// called-event arguments in the pre-state).
-struct Reading<'a> {
-    base: &'a ObjectBase,
-    reads: Option<&'a ReadTracker>,
-}
-
-impl World for Reading<'_> {
-    fn model(&self) -> &SystemModel {
-        &self.base.model
-    }
-
-    fn state_of(&self, id: &ObjectId) -> Option<StateMap> {
-        let observed = self.base.instances.get(id).map(|i| i.state.clone());
-        if let Some(r) = self.reads {
-            r.record_state(id, observed.as_ref());
-        }
-        observed
-    }
-
-    fn population(&self, class: &str) -> Vec<ObjectId> {
-        if let Some(r) = self.reads {
-            r.record_population(class);
-        }
-        self.base.population(class)
-    }
-
-    fn singleton_id(&self, class: &str) -> Option<ObjectId> {
-        self.base.singleton(class)
-    }
-
-    fn compiled_class(&self, class: &str) -> &CompiledClass {
-        self.base.compiled_class(class)
-    }
-}
-
 /// World view overlaying in-step working states on the committed base.
 struct Overlay<'a> {
     base: &'a ObjectBase,
     working: &'a BTreeMap<ObjectId, Working>,
-    reads: Option<&'a ReadTracker>,
 }
 
 impl World for Overlay<'_> {
@@ -2050,21 +1803,12 @@ impl World for Overlay<'_> {
 
     fn state_of(&self, id: &ObjectId) -> Option<StateMap> {
         if let Some(w) = self.working.get(id) {
-            // in-step entries are write targets; their committed
-            // fingerprints were recorded at materialization
             return Some(w.state.clone());
         }
-        let observed = self.base.instances.get(id).map(|i| i.state.clone());
-        if let Some(r) = self.reads {
-            r.record_state(id, observed.as_ref());
-        }
-        observed
+        self.base.instances.get(id).map(|i| i.state.clone())
     }
 
     fn population(&self, class: &str) -> Vec<ObjectId> {
-        if let Some(r) = self.reads {
-            r.record_population(class);
-        }
         // pre-step population plus anything born in this step
         let mut out = self.base.population(class);
         for (id, w) in self.working {

@@ -203,7 +203,7 @@ impl CompiledCall {
 
 /// The whole model, compiled. Built once per [`crate::SharedModel`] or
 /// `ObjectBase::new` and shared (behind an `Arc`) with every world
-/// spawned from it and every shard of a sharded world.
+/// spawned from it.
 #[derive(Debug)]
 pub(crate) struct CompiledModel {
     lowering: Lowering,

@@ -84,8 +84,8 @@ pub enum RuntimeError {
     Temporal(TemporalError),
     /// An engine invariant did not hold mid-step (e.g. a working-map
     /// entry vanished during event calling). The step rolls back like
-    /// any other error instead of panicking — essential once steps run
-    /// on shard worker threads, where a panic would poison the world.
+    /// any other error instead of panicking — served steps run under the
+    /// world's lock, which a panic would poison.
     Internal(String),
 }
 

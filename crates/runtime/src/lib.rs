@@ -82,7 +82,6 @@ mod instance;
 mod monitor_cache;
 mod persist;
 pub mod script;
-mod shard;
 mod views;
 
 pub use base::{ObjectBase, Occurrence, SharedModel, StepReport};
@@ -90,7 +89,6 @@ pub use error::RuntimeError;
 pub use instance::Instance;
 pub use monitor_cache::MonitorCacheStats;
 pub use persist::{InstanceDump, RoleDump, StepSink};
-pub use shard::{BatchEvent, WorldShards};
 pub use views::{JoinStrategy, ViewRow, ViewSet};
 
 /// The engine configuration a [`SharedModel`] is compiled with (see

@@ -261,15 +261,15 @@ pub(crate) struct MonitorCache {
     /// How new monitors lower their terms: the owning model's.
     lowering: Lowering,
     per_instance: BTreeMap<ObjectId, InstanceCache>,
-    /// `None` in a placeholder or scratch cache, which counts nothing.
+    /// `None` in the placeholder cache, which counts nothing.
     counters: Option<CacheCounters>,
 }
 
 impl Default for MonitorCache {
     /// A cache that counts nothing — the placeholder the step engine
     /// leaves behind while it borrows the real cache (built without
-    /// allocating, on every step), and the sharded executor's scratch
-    /// cache. Neither builds a monitor, so its lowering never matters.
+    /// allocating, on every step). It never builds a monitor, so its
+    /// lowering never matters.
     /// The runtime's real cache is built by [`MonitorCache::new`].
     fn default() -> Self {
         MonitorCache {

@@ -3,10 +3,10 @@
 //! The durable event log (`troll-store`) lives *above* the runtime and
 //! plugs in through this small surface:
 //!
-//! * a [`StepSink`] observes every **committed** step — the sequential
-//!   and sharded executors both funnel through the runtime's single
-//!   commit point, so a sink sees steps in deterministic commit order
-//!   and never sees a rolled-back step;
+//! * a [`StepSink`] observes every **committed** step — every step
+//!   funnels through the runtime's single commit point, so a sink sees
+//!   steps in deterministic commit order and never sees a rolled-back
+//!   step;
 //! * [`InstanceDump`] / [`crate::ObjectBase::dump_instances`] /
 //!   [`crate::ObjectBase::restore`] move whole worlds out of and back
 //!   into an object base (snapshots). Dumps share the persistent
@@ -28,8 +28,8 @@ use crate::instance::{Instance, RoleState};
 /// reproduces the full closure — the log records requests, the engine
 /// *is* the semantics.
 ///
-/// `Send + Sync` is required because an [`ObjectBase`] is shared across
-/// scoped worker threads by the sharded executor.
+/// `Send + Sync` is required because a served [`ObjectBase`] sits behind
+/// a lock shared by the server's worker threads.
 pub trait StepSink: std::fmt::Debug + Send + Sync {
     /// Called once per committed step.
     fn on_step_committed(&mut self, base: &ObjectBase, initial: &[Occurrence]);

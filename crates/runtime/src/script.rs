@@ -14,7 +14,7 @@
 //! tick
 //! ```
 
-use crate::{BatchEvent, ObjectBase, WorldShards};
+use crate::ObjectBase;
 use std::collections::BTreeMap;
 use troll_data::{MapEnv, ObjectId, Value};
 
@@ -91,86 +91,6 @@ pub fn run_script(ob: &mut ObjectBase, script: &str) -> Result<Vec<Outcome>, Str
         let outcome = run_command(ob, line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
         outcomes.push(outcome);
     }
-    Ok(outcomes)
-}
-
-/// How a batched line's [`Outcome`] is rebuilt once its batch commits.
-enum PendingOutcome {
-    Born(ObjectId),
-    Exec,
-}
-
-/// Runs a whole script through a sharded executor.
-///
-/// Consecutive `birth`/`exec` lines are grouped into one batch and
-/// executed via [`WorldShards::run_batch`] — speculated in parallel,
-/// committed in script order, observationally equal to [`run_script`].
-/// Any other command (`show`, `view`, `call`, `obligations`, `tick`)
-/// flushes the pending batch first and then runs sequentially against
-/// the base.
-///
-/// # Errors
-///
-/// Returns `line-number: message` for the first failing line. Note one
-/// batching caveat: a batch is executed as a unit, so `birth`/`exec`
-/// lines *after* a failing line but inside the same batch have already
-/// executed when the error is reported (sequential [`run_script`] stops
-/// before them).
-pub fn run_script_sharded(ws: &mut WorldShards, script: &str) -> Result<Vec<Outcome>, String> {
-    fn flush(
-        ws: &mut WorldShards,
-        batch: &mut Vec<BatchEvent>,
-        pending: &mut Vec<(usize, PendingOutcome)>,
-        outcomes: &mut Vec<Outcome>,
-    ) -> Result<(), String> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        let results = ws.run_batch(std::mem::take(batch));
-        for ((lineno, kind), result) in pending.drain(..).zip(results) {
-            match result {
-                Ok(report) => outcomes.push(match kind {
-                    PendingOutcome::Born(id) => Outcome::Born(id),
-                    PendingOutcome::Exec => Outcome::Executed(report.occurrences.len()),
-                }),
-                Err(e) => return Err(format!("line {lineno}: {e}")),
-            }
-        }
-        Ok(())
-    }
-
-    let mut outcomes = Vec::new();
-    let mut batch: Vec<BatchEvent> = Vec::new();
-    let mut pending: Vec<(usize, PendingOutcome)> = Vec::new();
-    for (lineno, raw) in script.lines().enumerate() {
-        let line = raw.split("--").next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let at = |e: String| format!("line {}: {e}", lineno + 1);
-        let tokens = split_top_level(line);
-        match tokens.first().map(String::as_str) {
-            Some("birth") if tokens.len() == 5 => {
-                let key = parse_term_list(&tokens[2]).map_err(at)?;
-                let args = parse_term_list(&tokens[4]).map_err(at)?;
-                let id = ObjectId::new(tokens[1].clone(), key);
-                pending.push((lineno + 1, PendingOutcome::Born(id.clone())));
-                batch.push(BatchEvent::new(id, tokens[3].clone(), args));
-            }
-            Some("exec") if tokens.len() == 4 => {
-                let id = parse_identity(&tokens[1]).map_err(at)?;
-                let args = parse_term_list(&tokens[3]).map_err(at)?;
-                pending.push((lineno + 1, PendingOutcome::Exec));
-                batch.push(BatchEvent::new(id, tokens[2].clone(), args));
-            }
-            _ => {
-                flush(ws, &mut batch, &mut pending, &mut outcomes)?;
-                let outcome = run_command(ws.base_mut(), line).map_err(at)?;
-                outcomes.push(outcome);
-            }
-        }
-    }
-    flush(ws, &mut batch, &mut pending, &mut outcomes)?;
     Ok(outcomes)
 }
 

@@ -24,8 +24,8 @@
 //! bytes (the fault-injection tests feed bit-flipped frames here).
 //! Encoding is canonical — equal values encode to identical bytes (sets
 //! and maps iterate in their stored order, which is sorted) — which is
-//! what makes "sharded and sequential runs produce byte-identical logs"
-//! a meaningful guarantee.
+//! what makes "runs of the same script produce byte-identical logs" a
+//! meaningful guarantee.
 
 use std::fmt;
 

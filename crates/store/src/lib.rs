@@ -23,10 +23,9 @@
 //!   valid snapshot → replay the intact WAL tail, truncating a torn or
 //!   corrupt tail frame instead of failing.
 //!
-//! Because the sequential and sharded executors commit through the same
-//! runtime funnel in deterministic batch order, and the codec is
-//! canonical, a sharded run and a sequential run of the same script
-//! produce **byte-identical logs**.
+//! Because every step commits through one runtime funnel in
+//! deterministic order, and the codec is canonical, two runs of the
+//! same script produce **byte-identical logs**.
 //!
 //! Durability observability lands in the object base's own metrics
 //! registry: `store.appends`, `store.bytes`, `store.fsyncs`,

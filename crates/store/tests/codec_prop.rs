@@ -4,8 +4,7 @@
 //!
 //! Also checks that encoding is *canonical*: re-encoding a decoded
 //! value reproduces the original bytes (equal worlds ⇒ equal logs, the
-//! property the byte-identical sharded/sequential log guarantee rests
-//! on).
+//! property the byte-identical log guarantee rests on).
 
 use proptest::prelude::*;
 use troll_data::{Date, Money, ObjectId, Value};

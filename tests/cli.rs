@@ -146,59 +146,61 @@ fn animate_stats_prints_consistent_counters() {
     let _ = std::fs::remove_file(&script);
 }
 
-/// `--shards N` runs the script through the sharded executor: identical
-/// stdout to the sequential run, with the shard counters accounted for
-/// in the stats (every script event lands as a commit or a conflict).
+/// Flags `animate` no longer has (the sharded executor's shard count):
+/// asking for one is a usage error, whatever its value.
+const RETIRED_ANIMATE_FLAGS: &[&str] = &["shards"];
+
 #[test]
-fn animate_shards_matches_sequential_output() {
-    let script = scratch("shards.script");
-    std::fs::write(&script, SCRIPT).unwrap();
-    let sequential = run(&["animate", &dept_spec(), script.to_str().unwrap()]);
-    let sharded = run(&[
+fn animate_shards_flag_is_a_usage_error() {
+    for name in RETIRED_ANIMATE_FLAGS {
+        let flag = format!("--{name}");
+        for value in ["2", "1", "0", "many"] {
+            let out = run(&["animate", &flag, value, "x.troll", "y.script"]);
+            assert_eq!(out.status.code(), Some(2), "{flag} {value}");
+        }
+    }
+}
+
+/// A durable run stops at its first failing line: a refused `fire` on
+/// line 3 of 5 leaves exactly the two steps before it in the log, and
+/// the lines after it never run.
+#[test]
+fn animate_durable_stops_at_the_refused_line() {
+    let script = scratch("refused.script");
+    let dir = scratch("refused.dir");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::write(
+        &script,
+        r#"birth DEPT ("Toys") establishment (date(1991,10,16))
+exec  |DEPT|("Toys") hire (|PERSON|("ada"))
+exec  |DEPT|("Toys") fire (|PERSON|("zed"))
+exec  |DEPT|("Toys") hire (|PERSON|("bob"))
+exec  |DEPT|("Toys") hire (|PERSON|("cyd"))
+"#,
+    )
+    .unwrap();
+    let out = run(&[
         "animate",
-        "--shards",
-        "4",
-        "--stats",
+        "--durable",
+        dir.to_str().unwrap(),
         &dept_spec(),
         script.to_str().unwrap(),
     ]);
-    assert_eq!(
-        sharded.status.code(),
-        Some(0),
-        "stderr: {}",
-        String::from_utf8_lossy(&sharded.stderr)
-    );
-    let seq_out = String::from_utf8_lossy(&sequential.stdout);
-    let shard_out = String::from_utf8_lossy(&sharded.stdout);
-    assert!(
-        shard_out.starts_with(seq_out.as_ref()),
-        "sharded outcome lines equal the sequential run's:\n{shard_out}"
-    );
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("line 3:"), "{err}");
 
-    let counter = |name: &str| -> u64 {
-        shard_out
-            .lines()
-            .find(|l| l.split_whitespace().next() == Some(name))
-            .and_then(|l| l.split_whitespace().nth(1))
-            .unwrap_or_else(|| panic!("counter `{name}` missing in:\n{shard_out}"))
-            .parse()
-            .unwrap()
-    };
-    // 4 batched lines: one birth + three execs (the `show` flushes)
-    assert_eq!(counter("shard.inbox_depth"), 4);
-    assert_eq!(counter("shard.commits") + counter("shard.conflicts"), 4);
+    let out = run(&["recover", "--dump", dir.to_str().unwrap()]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(stdout.contains("steps=2"), "{stdout}");
     assert!(
-        shard_out.contains("shard.commit_latency_ns"),
-        "commit latency histogram printed:\n{shard_out}"
+        !stdout.contains("bob") && !stdout.contains("cyd"),
+        "{stdout}"
     );
-
-    // bad shard counts are usage errors
-    for bad in ["0", "many"] {
-        let out = run(&["animate", "--shards", bad, "x.troll", "y.script"]);
-        assert_eq!(out.status.code(), Some(2), "--shards {bad}");
-    }
 
     let _ = std::fs::remove_file(&script);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `--trace` streams one strict-JSON object per line covering the whole
@@ -535,7 +537,7 @@ fn animate_profile_metrics_and_stats_stream_write_files() {
     }
 }
 
-/// A sharded durable traced run covers the full causal-span vocabulary,
+/// A durable traced run covers the step and store event vocabulary,
 /// and a second session records its recovery in the trace.
 #[test]
 fn trace_covers_span_and_store_events() {
@@ -548,8 +550,6 @@ fn trace_covers_span_and_store_events() {
 
     let out = run(&[
         "animate",
-        "--shards",
-        "2",
         "--durable",
         dir.to_str().unwrap(),
         "--trace",
@@ -565,10 +565,8 @@ fn trace_covers_span_and_store_events() {
     );
     let body = std::fs::read_to_string(&trace1).unwrap();
     for kind in [
-        "event_routed",
-        "speculation_started",
-        "speculation_finished",
-        "span_closed",
+        "step_started",
+        "step_committed",
         "store_appended",
         "store_fsynced",
     ] {

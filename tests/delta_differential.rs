@@ -1,8 +1,8 @@
 //! Replay-equality oracle for delta valuation: every shipped spec is
 //! replayed in worlds compiled under `Lowering::Delta` and
-//! `Lowering::Recompute` (monitor cache on and off, sequential and
-//! 4-shard) and each transcript must equal the shipped configuration's
-//! line for line (`engine_harness.rs`).
+//! `Lowering::Recompute` (monitor cache on and off) and each transcript
+//! must equal the shipped configuration's line for line
+//! (`engine_harness.rs`).
 //!
 //! The per-base valuation counters split exactly by lowering, and a
 //! property test replays random insert/remove/append churn (hire/fire
@@ -28,8 +28,8 @@ fn base(spec: &str, lowering: Lowering) -> ObjectBase {
 }
 
 /// The 7-spec replay equality: delta-compiled and recompute-compiled
-/// runs reproduce the shipped transcript, sequentially and at 4
-/// shards, with the monitor cache on and off.
+/// runs reproduce the shipped transcript, with the monitor cache on and
+/// off.
 #[test]
 fn delta_and_recompute_replays_agree() {
     for (name, spec, script) in workloads() {

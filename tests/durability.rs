@@ -3,18 +3,16 @@
 //! frame boundary (clean and torn) and prove recovery rebuilds exactly
 //! the world an uninterrupted run of the same prefix produces.
 //!
-//! Also pins the byte-identical-log guarantee: the same script run
-//! sequentially and through a 4-shard executor writes the same WAL,
-//! byte for byte — and the group-commit boundary: `group:1` is
-//! indistinguishable from `every-commit`, a wider window bounds the
-//! unacknowledged tail, and a crash at the durable boundary recovers
-//! exactly the covered prefix.
+//! Also pins the group-commit boundary: `group:1` is indistinguishable
+//! from `every-commit`, a wider window bounds the unacknowledged tail,
+//! and a crash at the durable boundary recovers exactly the covered
+//! prefix.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use troll::runtime::ObjectBase;
-use troll::script::{run_script, run_script_sharded};
+use troll::script::run_script;
 use troll::store::wal::scan_wal;
 use troll::store::{open_world, recover, world_dump, DurableSink, FsyncPolicy, StoreOptions};
 use troll::System;
@@ -30,24 +28,14 @@ fn scratch(name: &str) -> PathBuf {
     p
 }
 
-/// Runs one workload durably (sequential or 4-shard) and closes clean.
-fn run_durable(dir: &Path, spec: &str, script: &str, shards: Option<usize>) -> ObjectBase {
+/// Runs one workload durably and closes clean.
+fn run_durable(dir: &Path, spec: &str, script: &str) -> ObjectBase {
     let (mut base, store, info) =
         open_world(dir, spec, &StoreOptions::default()).expect("open_world");
     assert_eq!(info.replayed, 0, "fresh directory");
     let (sink, shared) = DurableSink::new(store);
     base.set_step_sink(Box::new(sink));
-    let base = match shards {
-        None => {
-            run_script(&mut base, script).expect("sequential workload");
-            base
-        }
-        Some(n) => {
-            let mut ws = base.into_shards(n);
-            run_script_sharded(&mut ws, script).expect("sharded workload");
-            ws.into_base()
-        }
-    };
+    run_script(&mut base, script).expect("workload");
     shared
         .lock()
         .expect("store lock")
@@ -73,7 +61,7 @@ fn delete_snapshots(dir: &Path) {
 fn cut_sweep(name: &str) {
     let (spec, script) = workload(name);
     let dir = scratch(&format!("cut-{name}"));
-    let live = run_durable(&dir, spec, script, None);
+    let live = run_durable(&dir, spec, script);
 
     // full recovery from snapshot first
     let (recovered, _) = recover(&dir).expect("full recover");
@@ -130,49 +118,12 @@ fn cut_sweep(name: &str) {
     fs::write(&segment, &pristine).unwrap();
 }
 
-/// Sequential and 4-shard runs of the same script must write the same
-/// log, byte for byte — the batch commit order is the script order.
-fn byte_identical(name: &str) {
-    let (spec, script) = workload(name);
-    let seq_dir = scratch(&format!("seq-{name}"));
-    let shard_dir = scratch(&format!("shard-{name}"));
-    let seq = run_durable(&seq_dir, spec, script, None);
-    let sharded = run_durable(&shard_dir, spec, script, Some(4));
-    assert_same_world(name, &seq, &sharded);
-
-    let seq_segments = troll::store::wal::segment_paths(&seq_dir).unwrap();
-    let shard_segments = troll::store::wal::segment_paths(&shard_dir).unwrap();
-    assert_eq!(seq_segments.len(), shard_segments.len(), "{name}");
-    for (a, b) in seq_segments.iter().zip(&shard_segments) {
-        assert_eq!(
-            a.file_name(),
-            b.file_name(),
-            "{name}: segment naming agrees"
-        );
-        assert_eq!(
-            fs::read(a).unwrap(),
-            fs::read(b).unwrap(),
-            "{name}: WAL bytes differ between sequential and sharded"
-        );
-    }
-
-    // and the sharded log recovers to the same world too
-    delete_snapshots(&shard_dir);
-    let (recovered, _) = recover(&shard_dir).expect("recover sharded log");
-    assert_same_world(&format!("{name} sharded recover"), &seq, &recovered);
-}
-
 macro_rules! durability_suite {
     ($($name:ident),* $(,)?) => {$(
         mod $name {
             #[test]
             fn survives_any_cut() {
                 super::cut_sweep(stringify!($name));
-            }
-
-            #[test]
-            fn sharded_log_is_byte_identical() {
-                super::byte_identical(stringify!($name));
             }
         }
     )*};

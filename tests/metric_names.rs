@@ -6,7 +6,7 @@
 
 use std::path::PathBuf;
 
-use troll::script::{run_script, run_script_sharded};
+use troll::script::run_script;
 use troll::store::{open_world, DurableSink, StoreOptions};
 use troll::System;
 
@@ -23,9 +23,6 @@ const BASE_COUNTERS: &[&str] = &[
     "permissions.path.monitored",
     "permissions.path.scan",
     "permissions.refused",
-    "shard.commits",
-    "shard.conflicts",
-    "shard.inbox_depth",
     "steps.committed",
     "steps.rolled_back",
     "store.appends",
@@ -43,8 +40,6 @@ const BASE_COUNTERS: &[&str] = &[
 /// Every histogram (latency distributions and the profiler's per-phase
 /// self-time family).
 const BASE_HISTOGRAMS: &[&str] = &[
-    "shard.commit_latency_ns",
-    "shard.speculation_latency_ns",
     "step.latency_ns",
     "store.fsync_latency_ns",
     "step.phase.alias_prepass.self_ns",
@@ -117,9 +112,9 @@ fn scratch() -> PathBuf {
     p
 }
 
-/// Drives every metric-registering layer at once — sequential steps,
-/// a sharded batch, the durable store, views and profiling — then
-/// audits both registries against the allowlist.
+/// Drives every metric-registering layer at once — steps, the durable
+/// store, views and profiling — then audits both registries against
+/// the allowlist.
 #[test]
 fn registered_names_are_allowlisted_and_conventional() {
     let dir = scratch();
@@ -133,19 +128,11 @@ fn registered_names_are_allowlisted_and_conventional() {
         r#"
 birth DEPT ("Toys") establishment (date(1991,10,16))
 exec |DEPT|("Toys") hire (|PERSON|("ada"))
-"#,
-    )
-    .expect("sequential steps");
-    let mut ws = base.into_shards(2);
-    run_script_sharded(
-        &mut ws,
-        r#"
 exec |DEPT|("Toys") hire (|PERSON|("bob"))
 exec |DEPT|("Toys") fire (|PERSON|("ada"))
 "#,
     )
-    .expect("sharded batch");
-    let base = ws.into_base();
+    .expect("steps");
     shared.lock().unwrap().close(&base).expect("close");
 
     let snap = base.metrics().snapshot();

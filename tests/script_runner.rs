@@ -1,10 +1,10 @@
 //! Session-level tests of the animation script runner (`troll::script`,
-//! hosted in `troll-runtime`): full sessions against compiled specs,
-//! sharded/sequential parity, and the shipped demo walkthrough.
+//! hosted in `troll-runtime`): full sessions against compiled specs
+//! and the shipped demo walkthrough.
 
 use troll::data::{Money, ObjectId, Value};
 use troll::runtime::ObjectBase;
-use troll::script::{run_command, run_script, run_script_sharded, Outcome};
+use troll::script::{run_command, run_script, Outcome};
 use troll::System;
 
 fn base() -> ObjectBase {
@@ -41,31 +41,6 @@ tick
         other => panic!("expected observation, got {other:?}"),
     }
     assert_eq!(outcomes[7], Outcome::Ticked(0));
-}
-
-#[test]
-fn sharded_script_matches_sequential() {
-    let script = r#"
-birth DEPT ("Toys") establishment (date(1991,10,16))
-birth DEPT ("Shoes") establishment (date(1991,10,16))
-exec |DEPT|("Toys") hire (|PERSON|("ada"))
-exec |DEPT|("Shoes") hire (|PERSON|("bob"))
-show |DEPT|("Toys") employees
-exec |DEPT|("Toys") fire (|PERSON|("ada"))
-tick
-"#;
-    let mut ob = base();
-    let sequential = run_script(&mut ob, script).unwrap();
-    let mut ws = base().into_shards(4);
-    let sharded = run_script_sharded(&mut ws, script).unwrap();
-    assert_eq!(sharded, sequential);
-    // failures carry the script line number through the batch path
-    let err = run_script_sharded(&mut ws, "exec |DEPT|(\"Toys\") fire (|PERSON|(\"ghost\"))")
-        .unwrap_err();
-    assert!(
-        err.starts_with("line 1:") && err.contains("not permitted"),
-        "{err}"
-    );
 }
 
 #[test]

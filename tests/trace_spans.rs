@@ -1,15 +1,14 @@
-//! Causal-span reconstruction: a sharded, durable, traced run emits
-//! enough structured events to rebuild every submitted event's complete
-//! cross-thread timeline — route → speculate → (conflict → sequential
-//! re-run) → commit → WAL append/fsync — as a well-nested span tree.
+//! Step timelines in a durable, traced run: every step's
+//! `step_started`/`step_committed` pair joins the store's
+//! `store_appended`/`store_fsynced` events by step id, and recovery
+//! surfaces as a structured event.
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use troll::runtime::TraceWriter;
-use troll::script::run_script_sharded;
+use troll::script::run_script;
 use troll::store::{open_world, DurableSink, StoreOptions};
 
 /// A `Write` target the test can read back after the run.
@@ -70,9 +69,7 @@ fn scratch(name: &str) -> PathBuf {
     p
 }
 
-/// All events on one department: every batch routes to a single shard
-/// and later batch members read state an earlier commit changes, so the
-/// run is guaranteed to produce conflict → re-run chains.
+/// One department hired into and fired from: every line commits.
 const SCRIPT: &str = r#"
 birth DEPT ("Toys") establishment (date(1991,10,16))
 exec |DEPT|("Toys") hire (|PERSON|("ada"))
@@ -83,7 +80,7 @@ exec |DEPT|("Toys") fire (|PERSON|("bob"))
 "#;
 
 #[test]
-fn sharded_durable_trace_reconstructs_span_trees() {
+fn durable_trace_joins_steps_to_store_events() {
     let dir = scratch("durable");
     let (mut base, store, info) =
         open_world(&dir, troll::specs::DEPT, &StoreOptions::default()).expect("open_world");
@@ -95,9 +92,7 @@ fn sharded_durable_trace_reconstructs_span_trees() {
     let writer = Arc::new(TraceWriter::new(buf.clone()));
     base.set_observer(writer.clone());
 
-    let mut ws = base.into_shards(2);
-    run_script_sharded(&mut ws, SCRIPT).expect("sharded run");
-    let base = ws.into_base();
+    run_script(&mut base, SCRIPT).expect("durable run");
     shared.lock().unwrap().close(&base).expect("clean close");
     writer.flush();
     assert_eq!(writer.write_errors(), 0);
@@ -114,123 +109,30 @@ fn sharded_durable_trace_reconstructs_span_trees() {
             "thread ordinal spliced: {line}"
         );
     }
-    let of_kind = |kind: &str| -> Vec<&String> {
+    let steps_of = |kind: &str| -> Vec<u64> {
         lines
             .iter()
             .filter(|l| str_field(l, "ev").as_deref() == Some(kind))
+            .map(|l| u64_field(l, "step").expect("step id"))
             .collect()
     };
 
-    // --- span tree shape -------------------------------------------------
-    // each routed event owns a span that is speculated exactly once and
-    // closed exactly once
-    let routed = of_kind("event_routed");
-    assert_eq!(routed.len(), 6, "birth + 5 execs routed");
-    let spans: BTreeSet<u64> = routed
-        .iter()
-        .map(|l| u64_field(l, "span").unwrap())
-        .collect();
-    assert_eq!(spans.len(), 6, "span ids are distinct");
-    for kind in ["speculation_started", "speculation_finished", "span_closed"] {
-        let per_span: Vec<u64> = of_kind(kind)
-            .iter()
-            .map(|l| u64_field(l, "span").unwrap())
-            .collect();
-        assert_eq!(
-            per_span.iter().copied().collect::<BTreeSet<_>>(),
-            spans,
-            "every span has exactly one {kind}"
-        );
-        assert_eq!(per_span.len(), spans.len(), "no duplicate {kind}");
-    }
-    // speculation start/finish pair up on the same worker thread and
-    // shard — the cross-thread edge of the tree
-    for fin in of_kind("speculation_finished") {
-        let span = u64_field(fin, "span").unwrap();
-        let start = of_kind("speculation_started")
-            .into_iter()
-            .find(|l| u64_field(l, "span") == Some(span))
-            .expect("matching start");
-        assert_eq!(
-            u64_field(start, "shard"),
-            u64_field(fin, "shard"),
-            "span {span}"
-        );
-        assert_eq!(
-            u64_field(start, "thread"),
-            u64_field(fin, "thread"),
-            "span {span}"
-        );
-    }
+    // one step per script line, started and committed under one id
+    let started = steps_of("step_started");
+    assert_eq!(started, (0..6).collect::<Vec<_>>(), "one attempt per line");
+    assert_eq!(steps_of("step_committed"), started, "every step commits");
+    assert!(steps_of("step_rolled_back").is_empty());
 
-    // --- conflict → re-run chains ----------------------------------------
-    // same-object batches force overlaps: conflicted spans still close
-    // as committed (the sequential re-run), and conflict-free spans
-    // commit their speculation directly
-    let conflicted: BTreeSet<u64> = of_kind("speculation_conflict")
-        .iter()
-        .map(|l| u64_field(l, "span").unwrap())
-        .collect();
-    assert!(!conflicted.is_empty(), "same-object batches must conflict");
-    assert!(
-        conflicted.len() < spans.len(),
-        "first of each batch is conflict-free"
-    );
-    let mut steps_by_span: BTreeMap<u64, u64> = BTreeMap::new();
-    for closed in of_kind("span_closed") {
-        let span = u64_field(closed, "span").unwrap();
-        assert_eq!(
-            str_field(closed, "outcome").as_deref(),
-            Some("committed"),
-            "every event in this workload commits: {closed}"
-        );
-        steps_by_span.insert(
-            span,
-            u64_field(closed, "step").expect("committed span links a step"),
-        );
-    }
-    // spans commit in batch order: span order == step order, each step
-    // distinct and matched by a step_started/step_committed pair
-    let steps: Vec<u64> = steps_by_span.values().copied().collect();
-    assert!(
-        steps.windows(2).all(|w| w[0] < w[1]),
-        "batch-order commits: {steps:?}"
-    );
-    let started: BTreeSet<u64> = of_kind("step_started")
-        .iter()
-        .map(|l| u64_field(l, "step").unwrap())
-        .collect();
-    let committed: BTreeSet<u64> = of_kind("step_committed")
-        .iter()
-        .map(|l| u64_field(l, "step").unwrap())
-        .collect();
-    for step in &steps {
-        assert!(started.contains(step), "step {step} started");
-        assert!(committed.contains(step), "step {step} committed");
-    }
-
-    // --- the store joins the same timeline -------------------------------
-    // every committed step was appended (and fsynced, default policy)
-    // under its span's step id
-    let appended: BTreeSet<u64> = of_kind("store_appended")
-        .iter()
-        .map(|l| u64_field(l, "step").unwrap())
-        .collect();
-    assert_eq!(
-        appended,
-        steps.iter().copied().collect(),
-        "append per committed step"
-    );
-    let fsynced: BTreeSet<u64> = of_kind("store_fsynced")
-        .iter()
-        .map(|l| u64_field(l, "step").unwrap())
-        .collect();
-    assert_eq!(fsynced, appended, "every-commit fsync policy");
+    // the store joins the same timeline: every committed step was
+    // appended and fsynced (default policy) under its step id
+    assert_eq!(steps_of("store_appended"), started, "append per step");
+    assert_eq!(steps_of("store_fsynced"), started, "every-commit fsync");
 }
 
 /// Re-opening the directory surfaces recovery as a structured event
-/// (the CLI forwards it to the trace), and the counters stay consistent
-/// with the trace: `shard.commits + shard.conflicts = shard.inbox_depth`.
+/// (the CLI forwards it to the trace), and the step counters account
+/// for every attempt: `steps.committed + steps.rolled_back` equals
+/// `step_attempts()`.
 #[test]
 fn recovery_event_and_counter_consistency() {
     let dir = scratch("recover");
@@ -239,16 +141,18 @@ fn recovery_event_and_counter_consistency() {
             open_world(&dir, troll::specs::DEPT, &StoreOptions::default()).expect("open");
         let (sink, shared) = DurableSink::new(store);
         base.set_step_sink(Box::new(sink));
-        let mut ws = base.into_shards(2);
-        run_script_sharded(&mut ws, SCRIPT).expect("run");
-        let base = ws.into_base();
+        run_script(&mut base, SCRIPT).expect("run");
+        // a refused attempt counts as rolled back and logs nothing
+        let refused = r#"exec |DEPT|("Toys") fire (|PERSON|("zed"))"#;
+        assert!(run_script(&mut base, refused).is_err());
 
         let snap = base.metrics().snapshot();
         assert_eq!(
-            snap.counters["shard.commits"] + snap.counters["shard.conflicts"],
-            snap.counters["shard.inbox_depth"],
-            "every routed event either commits speculatively or conflicts"
+            snap.counters["steps.committed"] + snap.counters["steps.rolled_back"],
+            base.step_attempts(),
+            "every attempt either commits or rolls back"
         );
+        assert_eq!(snap.counters["steps.rolled_back"], 1);
         shared.lock().unwrap().close(&base).expect("close");
     }
     let (_, store, info) =

@@ -1,7 +1,7 @@
 //! Replay-equality oracle for the bytecode VM: every shipped spec is
 //! replayed in worlds compiled under `Lowering::TreeWalk` (monitor
-//! cache on and off, sequential and 4-shard) and each transcript must
-//! equal the bytecode-compiled shipped configuration's line for line
+//! cache on and off) and each transcript must equal the
+//! bytecode-compiled shipped configuration's line for line
 //! (`engine_harness.rs`).
 
 #[path = "engine_harness.rs"]
