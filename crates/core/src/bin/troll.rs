@@ -113,7 +113,10 @@ servers additionally answer repl-spec / repl-worlds / repl-poll for `troll follo
 tail a durable `troll serve` primary at <addr>: replay every world's committed log
 into <dir> (a valid --durable root — promote by pointing `troll serve --durable` or
 `troll recover` at it when the primary dies)
-  --listen <ip:port>  serve read-only query-attr / query-view / stats while tailing
+  --listen <ip:port>  while tailing, answer the serve protocol read-only on this address:
+                      query-attr / query-view / stats / repl-spec / repl-worlds /
+                      repl-poll (so another follower can tail this one); open and
+                      submit-event are refused; shutdown stops the follower
   --poll-ms <N>       sleep between poll rounds once caught up (default 100)
   --once              catch up once and exit instead of tailing until the primary dies
   --fsync <policy>    the follower's own WAL fsync cadence (default every-64; the

@@ -1,31 +1,29 @@
 //! The follower: tail a primary's durable worlds and replay them.
 //!
 //! One blocking client connection pulls batches (`repl-poll`); each
-//! world's records are re-verified (CRC + canonical decode), replayed
-//! through this process's own engine, and recorded through its own
-//! [`Store`] — so the follower's directory is not a file copy but an
-//! independently *re-derived* durable world that happens to be
-//! byte-identical, and `troll serve --durable <dir>` can promote it
-//! the moment the primary dies.
+//! world's records are re-verified (CRC + canonical decode) and
+//! replayed into a [`Replica`] — `troll-serve`'s own world registry in
+//! the read-only role, whose durable worlds record every replayed step
+//! through their own store, as a served write is recorded. So the
+//! follower's directory is not a file copy but an independently
+//! *re-derived* durable world that happens to be byte-identical, and
+//! `troll serve --durable <dir>` can promote it the moment the primary
+//! dies. With a listen address, the serve readiness loop answers the
+//! same registry.
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::path::Path;
 use std::thread;
 use std::time::Duration;
 
-use troll_obs::{Counter, Metrics};
-use troll_runtime::ObjectBase;
+use troll_runtime::Occurrence;
 use troll_serve::proto::{hex_decode, Request, Response};
-use troll_store::codec::Dec;
+use troll_serve::Replica;
 use troll_store::frame::{read_frame, FrameRead};
-use troll_store::snapshot::install_snapshot_bytes;
-use troll_store::wal::REC_STEP;
-use troll_store::{open_world, FsyncPolicy, Store, StoreOptions};
+use troll_store::wal::decode_step;
+use troll_store::{FsyncPolicy, StoreOptions};
 
 /// Follower tuning.
 #[derive(Debug, Clone)]
@@ -34,7 +32,8 @@ pub struct FollowOptions {
     pub poll_ms: u64,
     /// Catch up once and exit instead of tailing forever.
     pub once: bool,
-    /// Serve read-only queries on this address while tailing.
+    /// Answer the serve protocol, read-only, on this address while
+    /// tailing.
     pub listen: Option<String>,
     /// Store tuning for the follower's own durable worlds.
     pub store: StoreOptions,
@@ -97,41 +96,6 @@ impl std::fmt::Display for FollowError {
 
 impl std::error::Error for FollowError {}
 
-/// One tailed world, shared between the apply loop and the read-only
-/// query server.
-pub(crate) struct WorldSlot {
-    pub(crate) dir: PathBuf,
-    pub(crate) base: ObjectBase,
-    pub(crate) store: Store,
-}
-
-pub(crate) struct ReplCounters {
-    pub(crate) polls: Counter,
-    pub(crate) records_applied: Counter,
-    pub(crate) snapshots_installed: Counter,
-    pub(crate) worlds: Counter,
-}
-
-impl ReplCounters {
-    fn new(metrics: &Metrics) -> ReplCounters {
-        ReplCounters {
-            polls: metrics.counter("repl.polls"),
-            records_applied: metrics.counter("repl.records_applied"),
-            snapshots_installed: metrics.counter("repl.snapshots_installed"),
-            worlds: metrics.counter("repl.worlds"),
-        }
-    }
-}
-
-/// State shared with the read-only listener threads.
-pub(crate) struct FollowerShared {
-    pub(crate) spec_source: String,
-    pub(crate) worlds: Mutex<BTreeMap<String, Arc<Mutex<WorldSlot>>>>,
-    /// Set by a `shutdown` request on the read-only port (or at exit).
-    pub(crate) stop: AtomicBool,
-    pub(crate) c: ReplCounters,
-}
-
 /// A blocking line-protocol client that reconnects on demand and
 /// forgets the stream on any error (the caller decides whether that
 /// means the primary died).
@@ -187,7 +151,7 @@ enum SyncErr {
 /// Runs a follower against `addr`, mirroring every durable world into
 /// `dir` (a valid `troll serve --durable` root). Returns when: the
 /// primary dies after a successful start (`primary_lost` set), a
-/// `shutdown` arrives on the read-only port, or — with
+/// `shutdown` arrives on the listen port, or — with
 /// [`FollowOptions::once`] — a full catch-up pass completes.
 ///
 /// # Errors
@@ -214,84 +178,78 @@ pub fn run_follow(
             )))
         }
     };
-    troll_lang::parse(&spec_source)
-        .and_then(|parsed| troll_lang::analyze(&parsed))
-        .map_err(|e| FollowError::Protocol(format!("primary's spec does not compile: {e}")))?;
+    let (replica, server) = Replica::new(
+        &spec_source,
+        dir,
+        opts.store.clone(),
+        opts.listen.as_deref(),
+    )
+    .map_err(|e| match e.kind() {
+        io::ErrorKind::InvalidData => {
+            FollowError::Protocol(format!("primary's spec does not compile: {e}"))
+        }
+        _ => FollowError::Local(format!("listener: {e}")),
+    })?;
     fs::create_dir_all(dir).map_err(|e| FollowError::Local(e.to_string()))?;
-
-    let metrics = Metrics::new();
-    let shared = Arc::new(FollowerShared {
-        spec_source,
-        worlds: Mutex::new(BTreeMap::new()),
-        stop: AtomicBool::new(false),
-        c: ReplCounters::new(&metrics),
-    });
-    let listener = match &opts.listen {
-        Some(listen) => Some(
-            crate::readonly::spawn(listen, Arc::clone(&shared))
-                .map_err(|e| FollowError::Local(format!("read-only listener: {e}")))?,
+    let server = match server {
+        Some(server) => Some(
+            thread::Builder::new()
+                .name("troll-serve".to_string())
+                .spawn(move || server.run())
+                .map_err(|e| FollowError::Local(e.to_string()))?,
         ),
         None => None,
     };
 
     let mut primary_lost = false;
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        match sync_once(&mut client, dir, &shared, opts) {
+    let mut failure = None;
+    while !replica.stopped() {
+        match sync_once(&mut client, &replica) {
             Ok(()) => {}
             Err(SyncErr::Primary) => {
                 primary_lost = true;
                 break;
             }
             Err(SyncErr::Fatal(e)) => {
-                shared.stop.store(true, Ordering::SeqCst);
-                if let Some((_, handle)) = listener {
-                    let _ = handle.join();
-                }
-                return Err(e);
+                failure = Some(e);
+                break;
             }
         }
         if opts.once {
             break;
         }
-        if shared.stop.load(Ordering::SeqCst) {
-            break;
-        }
         thread::sleep(Duration::from_millis(opts.poll_ms));
     }
 
-    shared.stop.store(true, Ordering::SeqCst);
-    if let Some((_, handle)) = listener {
-        let _ = handle.join();
+    replica.stop();
+    if let Some(handle) = server {
+        let served = match handle.join() {
+            Ok(run) => run.map(|_| ()).map_err(|e| e.to_string()),
+            Err(_) => Err("the serve loop panicked".to_string()),
+        };
+        if let Err(e) = served {
+            failure.get_or_insert(FollowError::Local(format!("listener: {e}")));
+        }
     }
     // final snapshot + sync per world, so promotion recovers instantly
-    let worlds = shared.worlds.lock().expect("worlds");
-    for slot in worlds.values() {
-        let mut slot = slot.lock().expect("world slot");
-        let WorldSlot { base, store, .. } = &mut *slot;
-        store
-            .close(base)
-            .map_err(|e| FollowError::Local(e.to_string()))?;
+    let closed = replica.close().map_err(FollowError::Local);
+    if let Some(e) = failure {
+        return Err(e);
     }
+    closed?;
+    let c = replica.counters();
     Ok(FollowSummary {
-        worlds: shared.c.worlds.get(),
-        records_applied: shared.c.records_applied.get(),
-        snapshots_installed: shared.c.snapshots_installed.get(),
-        polls: shared.c.polls.get(),
+        worlds: c.worlds.get(),
+        records_applied: c.records_applied.get(),
+        snapshots_installed: c.snapshots_installed.get(),
+        polls: c.polls.get(),
         primary_lost,
     })
 }
 
 /// One full pass: refresh the world list, then catch every world up to
 /// the primary's durable cursor.
-fn sync_once(
-    client: &mut Client,
-    dir: &Path,
-    shared: &Arc<FollowerShared>,
-    opts: &FollowOptions,
-) -> Result<(), SyncErr> {
+fn sync_once(client: &mut Client, replica: &Replica) -> Result<(), SyncErr> {
     let names = match client.rpc(&Request::ReplWorlds) {
         Ok(Response::Ok(text)) => text,
         Ok(Response::Err(e)) => {
@@ -302,45 +260,25 @@ fn sync_once(
         Err(_) => return Err(SyncErr::Primary),
     };
     for name in names.split_whitespace() {
-        if shared.stop.load(Ordering::SeqCst) {
-            return Ok(());
-        }
-        let slot = {
-            let mut worlds = shared.worlds.lock().expect("worlds");
-            match worlds.get(name) {
-                Some(slot) => Arc::clone(slot),
-                None => {
-                    let world_dir = dir.join("worlds").join(name);
-                    let (base, store, _info) =
-                        open_world(&world_dir, &shared.spec_source, &opts.store)
-                            .map_err(|e| SyncErr::Fatal(FollowError::Local(e.to_string())))?;
-                    let slot = Arc::new(Mutex::new(WorldSlot {
-                        dir: world_dir,
-                        base,
-                        store,
-                    }));
-                    worlds.insert(name.to_string(), Arc::clone(&slot));
-                    shared.c.worlds.inc();
-                    slot
-                }
-            }
-        };
-        catch_up_world(client, shared, opts, name, &slot)?;
+        catch_up_world(client, replica, name)?;
     }
     Ok(())
 }
 
-/// Polls one world until the primary has nothing durable left to ship.
-fn catch_up_world(
-    client: &mut Client,
-    shared: &Arc<FollowerShared>,
-    opts: &FollowOptions,
-    name: &str,
-    slot: &Arc<Mutex<WorldSlot>>,
-) -> Result<(), SyncErr> {
-    loop {
-        let from = slot.lock().expect("world slot").store.next_seq();
-        shared.c.polls.inc();
+fn local(e: String) -> SyncErr {
+    SyncErr::Fatal(FollowError::Local(e))
+}
+
+fn protocol(e: String) -> SyncErr {
+    SyncErr::Fatal(FollowError::Protocol(e))
+}
+
+/// Polls one world until the primary has nothing durable left to ship
+/// (or the follower is stopping).
+fn catch_up_world(client: &mut Client, replica: &Replica, name: &str) -> Result<(), SyncErr> {
+    while !replica.stopped() {
+        let from = replica.next_seq(name).map_err(local)?;
+        replica.counters().polls.inc();
         let text = match client.rpc(&Request::ReplPoll {
             world: name.to_string(),
             from,
@@ -360,117 +298,68 @@ fn catch_up_world(
                     return Ok(()); // caught up to the durable cursor
                 }
                 let bytes = hex_decode(hex).ok_or_else(|| bad_reply(&text))?;
-                let mut slot = slot.lock().expect("world slot");
-                if apply_records(shared, &mut slot, &bytes)? == 0 {
+                let steps = decode_batch(&bytes, from)?;
+                if replica.apply(name, steps).map_err(local)? == 0 {
                     return Ok(());
                 }
             }
             (Some("snapshot"), Some(next), Some(hex)) => {
                 let next: u64 = next.parse().map_err(|_| bad_reply(&text))?;
                 let bytes = hex_decode(hex).ok_or_else(|| bad_reply(&text))?;
-                let mut slot = slot.lock().expect("world slot");
-                install_snapshot_bytes(&slot.dir, &bytes)
-                    .map_err(|e| SyncErr::Fatal(FollowError::Local(e.to_string())))?
-                    .ok_or_else(|| {
-                        SyncErr::Fatal(FollowError::Protocol(
-                            "shipped snapshot failed validation".to_string(),
-                        ))
-                    })?;
-                // reopen the world on top of the installed snapshot
-                // (recovery jumps the WAL cursor forward; stale local
-                // segments below it are simply ignored)
-                let (base, store, _info) = open_world(&slot.dir, &shared.spec_source, &opts.store)
-                    .map_err(|e| SyncErr::Fatal(FollowError::Local(e.to_string())))?;
-                slot.base = base;
-                slot.store = store;
-                shared.c.snapshots_installed.inc();
-                if slot.store.next_seq() <= from || slot.store.next_seq() < next {
-                    return Err(SyncErr::Fatal(FollowError::Protocol(format!(
+                if !replica.install_snapshot(name, &bytes).map_err(local)? {
+                    return Err(protocol("shipped snapshot failed validation".to_string()));
+                }
+                let now = replica.next_seq(name).map_err(local)?;
+                if now <= from || now < next {
+                    return Err(protocol(format!(
                         "snapshot for seq {next} did not advance past {from}"
-                    ))));
+                    )));
                 }
             }
             _ => return Err(bad_reply(&text)),
         }
     }
+    Ok(())
 }
 
 fn bad_reply(text: &str) -> SyncErr {
-    SyncErr::Fatal(FollowError::Protocol(format!(
+    protocol(format!(
         "unintelligible repl-poll reply: {}",
         &text[..text.len().min(128)]
-    )))
+    ))
 }
 
-/// Verifies, replays and re-records one shipped batch of raw frames.
-/// Returns the number of records applied. Every frame re-passes the
-/// CRC and the canonical decode — a bit flip in transit (or on the
+/// Verifies one shipped batch of raw frames and decodes its steps from
+/// `from` on (records below it are already here). Every frame re-passes
+/// the CRC and the canonical decode — a bit flip in transit (or on the
 /// primary's disk) stops replication here rather than poisoning the
 /// follower's log.
-fn apply_records(
-    shared: &Arc<FollowerShared>,
-    slot: &mut WorldSlot,
-    bytes: &[u8],
-) -> Result<u64, SyncErr> {
+fn decode_batch(bytes: &[u8], from: u64) -> Result<Vec<Vec<Occurrence>>, SyncErr> {
+    let mut steps = Vec::new();
+    let mut expected = from;
     let mut offset = 0usize;
-    let mut applied = 0u64;
     loop {
         match read_frame(bytes, offset) {
-            FrameRead::CleanEnd => break,
+            FrameRead::CleanEnd => return Ok(steps),
             FrameRead::Torn | FrameRead::Corrupt => {
-                return Err(SyncErr::Fatal(FollowError::Protocol(
+                return Err(protocol(
                     "torn or corrupt frame in shipped batch".to_string(),
-                )))
+                ))
             }
             FrameRead::Frame { payload, next } => {
-                let parsed = (|| {
-                    let mut dec = Dec::new(payload);
-                    if dec.u8()? != REC_STEP {
-                        return Err(troll_store::codec::CodecError {
-                            at: 0,
-                            kind: troll_store::codec::CodecErrorKind::BadTag(payload[0]),
-                        });
-                    }
-                    let seq = dec.u64()?;
-                    let n = dec.count()?;
-                    let mut initial = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        initial.push(dec.occurrence()?);
-                    }
-                    dec.finish()?;
-                    Ok((seq, initial))
-                })();
-                let (seq, initial) = parsed.map_err(|e| {
-                    SyncErr::Fatal(FollowError::Protocol(format!(
-                        "undecodable shipped record: {e:?}"
-                    )))
-                })?;
-                let expected = slot.store.next_seq();
-                if seq < expected {
-                    offset = next;
-                    continue; // already have it
-                }
+                let (seq, initial) = decode_step(payload)
+                    .map_err(|e| protocol(format!("undecodable shipped record: {e:?}")))?;
                 if seq > expected {
-                    return Err(SyncErr::Fatal(FollowError::Protocol(format!(
+                    return Err(protocol(format!(
                         "shipped batch skips from {expected} to {seq}"
-                    ))));
-                }
-                slot.base.replay_step(initial.clone()).map_err(|e| {
-                    SyncErr::Fatal(FollowError::Local(format!(
-                        "shipped step {seq} does not replay: {e}"
-                    )))
-                })?;
-                slot.store.record_step(&slot.base, &initial);
-                if slot.store.has_write_error() {
-                    return Err(SyncErr::Fatal(FollowError::Local(
-                        "local WAL append failed".to_string(),
                     )));
                 }
-                shared.c.records_applied.inc();
-                applied += 1;
+                if seq == expected {
+                    steps.push(initial);
+                    expected += 1;
+                }
                 offset = next;
             }
         }
     }
-    Ok(applied)
 }

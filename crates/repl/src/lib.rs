@@ -17,10 +17,17 @@
 //!   when the asked-for history was pruned by compaction, the newest
 //!   snapshot for catch-up;
 //! * a **follower** ([`run_follow`], the `troll follow` command) tails
-//!   every world, replays each record through its own engine, records
-//!   it through its own [`troll_store::Store`] (same codec → same
-//!   bytes), and serves read-only `query-attr` / `query-view` /
-//!   `stats` while it tails;
+//!   every world and replays each record into a
+//!   [`troll_serve::Replica`]: `troll-serve`'s own world registry in a
+//!   read-only role. Its worlds are durable served worlds, so each
+//!   replayed step is recorded through the follower's own
+//!   [`troll_store::Store`] exactly as a served write is (same codec →
+//!   same bytes);
+//! * with a listen address, the follower answers on the **same serve
+//!   readiness loop** as a primary, in the read-only role: `open` and
+//!   `submit-event` are refused, while `query-attr` / `query-view`,
+//!   `stats`, `repl-spec`, `repl-worlds` and `repl-poll` are served —
+//!   so a follower can itself be tailed (a cascading follower);
 //! * **promotion** is a no-op by construction: the follower directory
 //!   is a valid `--durable` root, so when the primary dies, pointing
 //!   `troll serve --durable <dir>` (or `troll recover`) at it resumes
@@ -28,13 +35,14 @@
 //!   follower's knowledge* — the follower can lag the primary's tail,
 //!   but never holds a wrong or torn prefix.
 //!
-//! Observability lands in a follower-owned registry: `repl.polls`,
-//! `repl.records_applied`, `repl.snapshots_installed`, `repl.worlds`.
+//! Observability lands in the replica's serve registry: `repl.polls`,
+//! `repl.records_applied`, `repl.snapshots_installed`, `repl.worlds`
+//! beside the `serve.*` counters; the global `stats` reply carries
+//! `records_applied=`, `snapshots_installed=` and `polls=`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod follower;
-mod readonly;
 
 pub use follower::{run_follow, FollowError, FollowOptions, FollowSummary};

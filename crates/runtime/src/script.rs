@@ -84,7 +84,7 @@ impl std::fmt::Display for Outcome {
 pub fn run_script(ob: &mut ObjectBase, script: &str) -> Result<Vec<Outcome>, String> {
     let mut outcomes = Vec::new();
     for (lineno, raw) in script.lines().enumerate() {
-        let line = raw.split("--").next().unwrap_or("").trim();
+        let line = strip_comment(raw);
         if line.is_empty() {
             continue;
         }
@@ -182,26 +182,9 @@ pub enum Query<'a> {
     },
 }
 
-/// The fields a per-world `stats` reply uses to name the world's
-/// monitor-cache configuration and counters, shared by the server and
-/// the follower: `monitor_cache=on|off monitor_hits=H monitor_fallbacks=F`.
-pub fn monitor_cache_fields(ob: &ObjectBase) -> String {
-    let stats = ob.monitor_cache_stats();
-    format!(
-        "monitor_cache={} monitor_hits={} monitor_fallbacks={}",
-        if ob.monitor_cache_enabled() {
-            "on"
-        } else {
-            "off"
-        },
-        stats.hits,
-        stats.fallbacks
-    )
-}
-
 /// Answers a [`Query`] against a shared world: the one read path behind
-/// [`run_command`]'s `show`/`view`, the server's `query-attr` /
-/// `query-view` and the follower's read-only port.
+/// [`run_command`]'s `show`/`view` and the server's `query-attr` /
+/// `query-view`, on primaries and followers alike.
 ///
 /// # Errors
 ///
@@ -306,6 +289,25 @@ fn parse_identity(text: &str) -> Result<ObjectId, String> {
     }
 }
 
+/// The command text of a raw script line: everything before the first
+/// `--` outside a quoted literal (the same quote rule as the token
+/// splitter), trimmed. Empty for blank and comment-only lines.
+pub fn strip_comment(raw: &str) -> &str {
+    let mut quote: Option<char> = None;
+    let mut prev_dash = false;
+    for (i, c) in raw.char_indices() {
+        match quote {
+            Some(q) if c == q => quote = None,
+            Some(_) => {}
+            None if c == '"' || c == '\'' => quote = Some(c),
+            None if c == '-' && prev_dash => return raw[..i - 1].trim(),
+            None => {}
+        }
+        prev_dash = quote.is_none() && c == '-';
+    }
+    raw.trim()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,5 +324,17 @@ mod tests {
             ]
         );
         assert!(split_top_level("").is_empty());
+    }
+
+    #[test]
+    fn comments_end_outside_quotes_only() {
+        assert_eq!(
+            strip_comment(r#"  birth D ("R--D") e () -- note"#),
+            r#"birth D ("R--D") e ()"#
+        );
+        assert_eq!(strip_comment("show |P|('a--b') x--y"), "show |P|('a--b') x");
+        assert_eq!(strip_comment("-- only a comment"), "");
+        assert_eq!(strip_comment("tick -"), "tick -");
+        assert_eq!(strip_comment("a - - b"), "a - - b");
     }
 }

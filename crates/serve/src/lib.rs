@@ -10,7 +10,9 @@
 //! [`troll_runtime::script::run_command`], queries read it through
 //! [`troll_runtime::script::query`]. With `--durable`, every
 //! world gets its own [`troll_store`] directory (WAL + snapshots) and
-//! recovers on reopen.
+//! recovers on reopen. A log-shipping follower hosts its replayed
+//! worlds in the same registry and answers through the same loop in a
+//! read-only role ([`Replica`]).
 //!
 //! The response `text` for a script line is byte-for-byte what
 //! `troll animate` prints for the same line — the server is
@@ -30,4 +32,4 @@ pub mod server;
 
 pub use proto::{Request, Response, MAX_LINE};
 pub use selftest::{run_load, LoadConfig, LoadReport};
-pub use server::{ServeOptions, ServeSummary, Server, SpawnedServer};
+pub use server::{ReplCounters, Replica, ServeOptions, ServeSummary, Server, SpawnedServer};

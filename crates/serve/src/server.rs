@@ -11,9 +11,16 @@
 //! of the same lines). A `submit-event` line runs through
 //! [`script::run_command`] under the world's write lock — the one step
 //! path `animate` takes; `query-attr`/`query-view` are answered under
-//! the read lock by [`script::query`], the typed read the follower's
-//! read-only port shares. Every world checks its permissions through
-//! the monitor cache, as `animate`, recovery and the follower do.
+//! the read lock by [`script::query`]. Every world checks its
+//! permissions through the monitor cache, as `animate` and recovery do.
+//!
+//! A log-shipping follower runs this same loop in a read-only role
+//! ([`Replica`]): its worlds sit in the same registry, built the same
+//! way, and change only when its tail loop replays the primary's
+//! records into them. The loop then refuses `open` and `submit-event`
+//! and answers everything else unchanged — reads, per-world `stats`,
+//! and `repl-spec`/`repl-worlds`/`repl-poll`, so a follower can itself
+//! be tailed.
 //!
 //! Responses flow back to the loop thread over a completion list plus
 //! a socketpair waker byte; per-connection sequence numbers reassemble
@@ -36,7 +43,8 @@ use std::thread;
 use std::time::{Duration, Instant};
 use troll_obs::{Counter, Histogram, HistogramSummary, Metrics};
 use troll_runtime::script::{self, Query};
-use troll_runtime::{ObjectBase, SharedModel};
+use troll_runtime::{ObjectBase, Occurrence, SharedModel};
+use troll_store::snapshot::install_snapshot_bytes;
 use troll_store::{open_world, DurableSink, FsyncPolicy, Store, StoreOptions};
 
 const TOKEN_LISTENER: u64 = 0;
@@ -157,6 +165,31 @@ impl ServeCounters {
     }
 }
 
+/// A follower's replication counters: fed by its tail loop, reported
+/// by its global `stats`, and registered in its server's metrics as
+/// `repl.polls`, `repl.records_applied`, `repl.snapshots_installed`
+/// and `repl.worlds`.
+#[derive(Debug, Clone)]
+pub struct ReplCounters {
+    /// `repl-poll` round trips issued to the primary.
+    pub polls: Counter,
+    /// Shipped records replayed and re-recorded locally.
+    pub records_applied: Counter,
+    /// Snapshots installed for catch-up past a pruned log.
+    pub snapshots_installed: Counter,
+    /// Worlds tailed.
+    pub worlds: Counter,
+}
+
+/// What a server's port accepts.
+enum Role {
+    /// Takes writes.
+    Primary,
+    /// A follower's server: its worlds change only by replaying the
+    /// primary's log, never by taking writes, or the two would diverge.
+    Follower(ReplCounters),
+}
+
 /// One hosted world: its engine, and its store handle when durable.
 struct WorldState {
     base: ObjectBase,
@@ -247,6 +280,9 @@ struct Shared {
     completions: Mutex<Vec<Completion>>,
     /// Jobs enqueued but whose completion the loop has not drained yet.
     inflight: AtomicU64,
+    /// Tells the loop to stop taking requests, drain and exit: set by a
+    /// `shutdown` request or, on a follower, by its tail loop.
+    stop: AtomicBool,
     /// Tells idle workers to exit once the ready list is empty.
     shutdown: AtomicBool,
     /// Write half of the waker socketpair; one byte per completion
@@ -259,12 +295,73 @@ struct Shared {
     compact_after: Option<u64>,
     metrics: Metrics,
     c: ServeCounters,
+    role: Role,
 }
 
 impl Shared {
+    /// Compiles the model once (shared by every world) and sets up the
+    /// registry; returns the read half of the waker socketpair for the
+    /// loop.
+    fn new(
+        spec_source: &str,
+        opts: ServeOptions,
+        metrics: Metrics,
+        role: Role,
+    ) -> io::Result<(Arc<Shared>, UnixStream)> {
+        let model = troll_lang::parse(spec_source)
+            .and_then(|parsed| troll_lang::analyze(&parsed))
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+        let (waker_rx, waker_tx) = UnixStream::pair()?;
+        waker_rx.set_nonblocking(true)?;
+        waker_tx.set_nonblocking(true)?;
+        let c = ServeCounters::new(&metrics);
+        let group = if opts.durable.is_some() && matches!(opts.store.fsync, FsyncPolicy::Group(_)) {
+            Some(GroupCommit::default())
+        } else {
+            None
+        };
+        let compact_after = if opts.durable.is_some() {
+            opts.compact_after
+        } else {
+            None
+        };
+        let shared = Arc::new(Shared {
+            model: SharedModel::new(model),
+            spec_source: spec_source.to_string(),
+            durable: opts.durable,
+            store_opts: opts.store,
+            max_buffered: opts.max_buffered,
+            registry: Mutex::new(HashMap::new()),
+            ready: Mutex::new(VecDeque::new()),
+            ready_cv: Condvar::new(),
+            completions: Mutex::new(Vec::new()),
+            inflight: AtomicU64::new(0),
+            stop: AtomicBool::new(false),
+            shutdown: AtomicBool::new(false),
+            waker: waker_tx,
+            group,
+            compact_after,
+            metrics,
+            c,
+            role,
+        });
+        Ok((shared, waker_rx))
+    }
+
     fn wake(&self) {
         // best-effort: a full pipe already guarantees a pending wakeup
         let _ = (&self.waker).write(&[1u8]);
+    }
+
+    fn stopping(&self) -> bool {
+        self.stop.load(Ordering::SeqCst)
+    }
+
+    /// Every registry entry, collected so the registry lock is not held
+    /// while they are visited.
+    fn entries(&self) -> Vec<Arc<WorldEntry>> {
+        let registry = self.registry.lock().expect("registry");
+        registry.values().cloned().collect()
     }
 }
 
@@ -296,49 +393,24 @@ impl Server {
         spec_source: &str,
         opts: ServeOptions,
     ) -> io::Result<Server> {
-        let model = troll_lang::parse(spec_source)
-            .and_then(|parsed| troll_lang::analyze(&parsed))
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+        let workers = opts.workers;
+        let (shared, waker_rx) = Shared::new(spec_source, opts, Metrics::new(), Role::Primary)?;
+        Server::listen(addr, shared, waker_rx, workers)
+    }
+
+    fn listen(
+        addr: impl ToSocketAddrs,
+        shared: Arc<Shared>,
+        waker_rx: UnixStream,
+        workers: usize,
+    ) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
-        let (waker_rx, waker_tx) = UnixStream::pair()?;
-        waker_rx.set_nonblocking(true)?;
-        waker_tx.set_nonblocking(true)?;
-        let metrics = Metrics::new();
-        let c = ServeCounters::new(&metrics);
-        let group = if opts.durable.is_some() && matches!(opts.store.fsync, FsyncPolicy::Group(_)) {
-            Some(GroupCommit::default())
-        } else {
-            None
-        };
-        let compact_after = if opts.durable.is_some() {
-            opts.compact_after
-        } else {
-            None
-        };
-        let shared = Arc::new(Shared {
-            model: SharedModel::new(model),
-            spec_source: spec_source.to_string(),
-            durable: opts.durable,
-            store_opts: opts.store,
-            max_buffered: opts.max_buffered,
-            registry: Mutex::new(HashMap::new()),
-            ready: Mutex::new(VecDeque::new()),
-            ready_cv: Condvar::new(),
-            completions: Mutex::new(Vec::new()),
-            inflight: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
-            waker: waker_tx,
-            group,
-            compact_after,
-            metrics,
-            c,
-        });
         Ok(Server {
             listener,
             waker_rx,
             shared,
-            workers: opts.workers.max(1),
+            workers: workers.max(1),
         })
     }
 
@@ -375,9 +447,11 @@ impl Server {
         Ok(SpawnedServer { addr, join })
     }
 
-    /// Runs the readiness loop until a `shutdown` request arrives, then
-    /// drains responses, joins the workers, and closes every durable
-    /// store (final snapshot + WAL sync).
+    /// Runs the readiness loop until a `shutdown` request arrives (or,
+    /// on a follower, [`Replica::stop`] runs), then drains responses,
+    /// joins the workers, and closes every durable store (final
+    /// snapshot + WAL sync) — on a follower, [`Replica::close`] does
+    /// that once its tail has stopped.
     ///
     /// # Errors
     ///
@@ -427,12 +501,11 @@ impl Server {
         let mut conns: HashMap<u64, Conn> = HashMap::new();
         let mut next_token = FIRST_CONN_TOKEN;
         let mut events = Vec::with_capacity(256);
-        let mut shutting_down = false;
         let mut deadline: Option<Instant> = None;
 
         loop {
             events.clear();
-            let timeout = if shutting_down { 10 } else { 250 };
+            let timeout = if shared.stopping() { 10 } else { 250 };
             poller.wait(&mut events, timeout)?;
 
             for ev in &events {
@@ -440,7 +513,7 @@ impl Server {
                     TOKEN_LISTENER => loop {
                         match listener.accept() {
                             Ok((stream, _)) => {
-                                if shutting_down {
+                                if shared.stopping() {
                                     continue; // drop it; we are leaving
                                 }
                                 if stream.set_nonblocking(true).is_err() {
@@ -471,7 +544,7 @@ impl Server {
                                 conn.dead = true;
                             }
                             if ev.readable && !conn.dead && read_ready(&shared, conn) {
-                                shutting_down = true;
+                                shared.stop.store(true, Ordering::SeqCst);
                             }
                             if ev.writable && !conn.dead {
                                 conn.try_write();
@@ -526,7 +599,7 @@ impl Server {
                 }
             }
 
-            if shutting_down {
+            if shared.stopping() {
                 let deadline = *deadline.get_or_insert_with(|| Instant::now() + SHUTDOWN_GRACE);
                 let drained = shared.inflight.load(Ordering::Relaxed) == 0
                     && conns.values().all(Conn::drained);
@@ -551,7 +624,13 @@ impl Server {
         if let Some(handle) = compactor_handle {
             let _ = handle.join();
         }
-        close_stores(&shared);
+        // a follower's tail may still be applying; it closes the stores
+        // itself once it has stopped (`Replica::close`)
+        if let Role::Primary = shared.role {
+            for e in close_stores(&shared) {
+                eprintln!("troll-serve: {e}");
+            }
+        }
 
         let c = &shared.c;
         Ok(ServeSummary {
@@ -566,25 +645,21 @@ impl Server {
     }
 }
 
-/// Final-snapshot + sync every durable world on the way out.
-fn close_stores(shared: &Shared) {
-    let entries: Vec<Arc<WorldEntry>> = shared
-        .registry
-        .lock()
-        .expect("registry")
-        .values()
-        .cloned()
-        .collect();
-    for entry in entries {
+/// Final-snapshot + sync every durable world on the way out; returns
+/// the failures.
+fn close_stores(shared: &Shared) -> Vec<String> {
+    let mut failures = Vec::new();
+    for entry in shared.entries() {
         let slot = entry.world.read().expect("world lock");
         if let Some(state) = slot.as_ref() {
             if let Some(store) = &state.store {
                 if let Err(e) = store.lock().expect("store lock").close(&state.base) {
-                    eprintln!("troll-serve: closing world `{}`: {e}", entry.name);
+                    failures.push(format!("closing world `{}`: {e}", entry.name));
                 }
             }
         }
     }
+    failures
 }
 
 /// One client connection owned by the loop thread.
@@ -758,6 +833,14 @@ fn route_line(shared: &Arc<Shared>, conn: &mut Conn, line: &str) -> bool {
                 seq,
                 Pending::Line(Response::Ok(built_worlds(shared)).to_json()),
             );
+            return false;
+        }
+        Request::Open { .. } | Request::SubmitEvent { .. }
+            if matches!(shared.role, Role::Follower(_)) =>
+        {
+            shared.c.errors.inc();
+            let refusal = Response::Err("read-only follower: writes go to the primary".to_string());
+            conn.pending.insert(seq, Pending::Line(refusal.to_json()));
             return false;
         }
         Request::Open { world }
@@ -951,12 +1034,19 @@ fn process(shared: &Shared, entry: &WorldEntry, req: Request) -> Processed {
             let slot = entry.world.read().expect("world lock");
             match slot.as_ref() {
                 Some(state) => {
+                    let cache = state.base.monitor_cache_stats();
                     let mut text = format!(
-                        "world {}: steps={} attempts={} {}",
+                        "world {}: steps={} attempts={} monitor_cache={} monitor_hits={} monitor_fallbacks={}",
                         entry.name,
                         state.base.steps_executed(),
                         state.base.step_attempts(),
-                        script::monitor_cache_fields(&state.base)
+                        if state.base.monitor_cache_enabled() {
+                            "on"
+                        } else {
+                            "off"
+                        },
+                        cache.hits,
+                        cache.fallbacks
                     );
                     if let Some(store) = &state.store {
                         let f = store.lock().expect("store lock").figures();
@@ -1035,8 +1125,8 @@ fn repl_poll(shared: &Shared, entry: &WorldEntry, from: u64) -> Response {
 
 /// Answers a `query-attr`/`query-view` under the world's read lock
 /// through [`script::query`], the read path `animate`'s `show`/`view`
-/// and the follower's read-only port share. Reads still wait their turn
-/// in the world's FIFO queue, so they observe every earlier submission.
+/// share. Reads still wait their turn in the world's FIFO queue, so
+/// they observe every earlier submission.
 fn query(shared: &Shared, entry: &WorldEntry, query: Query<'_>) -> Response {
     let slot = entry.world.read().expect("world lock");
     let Some(state) = slot.as_ref() else {
@@ -1056,24 +1146,25 @@ fn query(shared: &Shared, entry: &WorldEntry, query: Query<'_>) -> Response {
 /// command may commit steps (`birth`, `exec`, `call`, `tick`), so under
 /// group commit a success ack defers whenever the WAL cursor moved: it
 /// waits for the fsync covering the last record the command appended.
+/// A durable world whose store latched a write error answers the
+/// committing request, and every later one, with that error.
 fn submit(shared: &Shared, entry: &WorldEntry, raw: &str) -> Processed {
     shared.c.events.inc();
-    let line = raw.split("--").next().unwrap_or("").trim();
-    if line.is_empty() {
-        shared.c.errors.inc();
-        return Response::Err("empty script line".to_string()).into();
-    }
     let mut slot = entry.world.write().expect("world lock");
     let Some(state) = slot.as_mut() else {
         return not_open(shared, &entry.name).into();
     };
+    if let Some(e) = write_refusal(&entry.name, state) {
+        shared.c.errors.inc();
+        return Response::Err(e).into();
+    }
     let wal_before = match (&shared.group, &state.store) {
         (Some(_), Some(store)) => Some(store.lock().expect("store lock").next_seq()),
         _ => None,
     };
     let steps_before = state.base.steps_executed();
     let t0 = Instant::now();
-    let result = script::run_command(&mut state.base, line);
+    let result = script::run_command(&mut state.base, script::strip_comment(raw));
     let committed = state.base.steps_executed() - steps_before;
     if committed > 0 {
         shared
@@ -1081,6 +1172,10 @@ fn submit(shared: &Shared, entry: &WorldEntry, raw: &str) -> Processed {
             .commit_latency
             .record_ns(t0.elapsed().as_nanos() as u64);
         shared.c.commits.add(committed as u64);
+        if let Some(e) = write_refusal(&entry.name, state) {
+            shared.c.errors.inc();
+            return Response::Err(e).into();
+        }
     }
     match result {
         Ok(outcome) => {
@@ -1101,6 +1196,15 @@ fn submit(shared: &Shared, entry: &WorldEntry, raw: &str) -> Processed {
             Response::Err(e).into()
         }
     }
+}
+
+/// The error a durable world answers once its store latched a write
+/// error: the log stopped recording, so no later step can be made
+/// durable and none may be acknowledged.
+fn write_refusal(name: &str, state: &WorldState) -> Option<String> {
+    let store = state.store.as_ref()?.lock().expect("store lock");
+    let e = store.write_error()?;
+    Some(format!("world `{name}` log write failed: {e}"))
 }
 
 /// The group committer: drains whatever acks accumulated, fsyncs each
@@ -1196,14 +1300,7 @@ fn compactor_loop(shared: &Arc<Shared>) {
     let threshold = shared.compact_after.expect("compact threshold");
     while !shared.shutdown.load(Ordering::SeqCst) {
         thread::sleep(COMPACT_TICK);
-        let entries: Vec<Arc<WorldEntry>> = shared
-            .registry
-            .lock()
-            .expect("registry")
-            .values()
-            .cloned()
-            .collect();
-        for entry in entries {
+        for entry in shared.entries() {
             if shared.shutdown.load(Ordering::SeqCst) {
                 return;
             }
@@ -1242,14 +1339,8 @@ fn compactor_loop(shared: &Arc<Shared>) {
 /// `repl-worlds`). A world whose lock is held mid-commit is certainly
 /// built, so a failed `try_read` counts it in.
 fn built_worlds(shared: &Shared) -> String {
-    let entries: Vec<Arc<WorldEntry>> = shared
-        .registry
-        .lock()
-        .expect("registry")
-        .values()
-        .cloned()
-        .collect();
-    let mut names: Vec<String> = entries
+    let mut names: Vec<String> = shared
+        .entries()
         .iter()
         .filter(|entry| match entry.world.try_read() {
             Ok(slot) => slot.is_some(),
@@ -1289,7 +1380,7 @@ fn build_world(shared: &Shared, name: &str) -> Result<WorldState, String> {
 fn global_stats(shared: &Shared) -> String {
     let c = &shared.c;
     let lat = c.request_latency.summary();
-    format!(
+    let mut text = format!(
         "worlds={} requests={} events={} commits={} conflicts={} errors={} request_p50_ns={} request_p99_ns={}",
         c.worlds.get(),
         c.requests.get(),
@@ -1299,5 +1390,176 @@ fn global_stats(shared: &Shared) -> String {
         c.errors.get(),
         lat.p50_ns,
         lat.p99_ns,
-    )
+    );
+    if let Role::Follower(r) = &shared.role {
+        text.push_str(&format!(
+            " records_applied={} snapshots_installed={} polls={}",
+            r.records_applied.get(),
+            r.snapshots_installed.get(),
+            r.polls.get(),
+        ));
+    }
+    text
+}
+
+/// A follower's server: the world registry a log-shipping follower
+/// replays into, answered by [`Server`]'s readiness loop in the
+/// read-only role. Its worlds are durable served worlds ([`open_world`]
+/// plus a [`DurableSink`]), so a replayed step is recorded exactly as a
+/// served write is, and a follower's directory is a `--durable` root.
+pub struct Replica {
+    shared: Arc<Shared>,
+    counters: ReplCounters,
+}
+
+impl Replica {
+    /// Compiles `spec_source` and sets up a read-only registry whose
+    /// worlds live under `root/worlds/<id>` with `store` tuning. With
+    /// `listen`, also binds that address and returns the readiness loop
+    /// over the same registry (drive it with [`Server::run`]); without,
+    /// no loop runs.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidData` when the spec does not compile, else socket errors.
+    pub fn new(
+        spec_source: &str,
+        root: &std::path::Path,
+        store: StoreOptions,
+        listen: Option<&str>,
+    ) -> io::Result<(Replica, Option<Server>)> {
+        let opts = ServeOptions {
+            durable: Some(root.to_path_buf()),
+            store,
+            ..ServeOptions::default()
+        };
+        let workers = opts.workers;
+        let metrics = Metrics::new();
+        let counters = ReplCounters {
+            polls: metrics.counter("repl.polls"),
+            records_applied: metrics.counter("repl.records_applied"),
+            snapshots_installed: metrics.counter("repl.snapshots_installed"),
+            worlds: metrics.counter("repl.worlds"),
+        };
+        let role = Role::Follower(counters.clone());
+        let (shared, waker_rx) = Shared::new(spec_source, opts, metrics, role)?;
+        let server = match listen {
+            Some(addr) => Some(Server::listen(
+                addr,
+                Arc::clone(&shared),
+                waker_rx,
+                workers,
+            )?),
+            None => None,
+        };
+        Ok((Replica { shared, counters }, server))
+    }
+
+    /// The follower's replication counters.
+    pub fn counters(&self) -> &ReplCounters {
+        &self.counters
+    }
+
+    /// True once a `shutdown` request reached the loop or
+    /// [`Replica::stop`] ran.
+    pub fn stopped(&self) -> bool {
+        self.shared.stopping()
+    }
+
+    /// Stops the loop from the tail side: it drains and exits.
+    pub fn stop(&self) {
+        self.shared.stop.store(true, Ordering::SeqCst);
+        self.shared.wake();
+    }
+
+    /// Final snapshot + sync of every world, once the tail loop has
+    /// stopped (and the readiness loop, if any, has exited).
+    ///
+    /// # Errors
+    ///
+    /// The first world whose store failed to close.
+    pub fn close(&self) -> Result<(), String> {
+        close_stores(&self.shared)
+            .into_iter()
+            .next()
+            .map_or(Ok(()), Err)
+    }
+
+    /// Where world `name`'s log continues: its store's next sequence
+    /// number. The first call for a world builds (or recovers) it.
+    ///
+    /// # Errors
+    ///
+    /// The store failed to open or recover.
+    pub fn next_seq(&self, name: &str) -> Result<u64, String> {
+        let entry = self.entry(name)?;
+        let slot = entry.world.read().expect("world lock");
+        let state = slot.as_ref().expect("replica worlds are built");
+        let store = state.store.as_ref().expect("replica worlds are durable");
+        let next = store.lock().expect("store lock").next_seq();
+        Ok(next)
+    }
+
+    /// Replays shipped steps, in log order, through world `name`'s
+    /// engine under its write lock; its sink records each one, so the
+    /// local log re-derives the shipped bytes. Returns how many were
+    /// applied.
+    ///
+    /// # Errors
+    ///
+    /// A step that no longer replays, or a latched local write error.
+    pub fn apply(&self, name: &str, steps: Vec<Vec<Occurrence>>) -> Result<u64, String> {
+        let entry = self.entry(name)?;
+        let mut slot = entry.world.write().expect("world lock");
+        let state = slot.as_mut().expect("replica worlds are built");
+        let mut applied = 0;
+        for initial in steps {
+            state
+                .base
+                .replay_step(initial)
+                .map_err(|e| format!("shipped step does not replay: {e}"))?;
+            if let Some(e) = write_refusal(name, state) {
+                return Err(e);
+            }
+            self.counters.records_applied.inc();
+            applied += 1;
+        }
+        Ok(applied)
+    }
+
+    /// Installs a shipped snapshot in world `name`'s directory and
+    /// rebuilds the world on top of it (recovery jumps the WAL cursor
+    /// forward; stale local segments below it are ignored). Returns
+    /// false when the snapshot failed validation.
+    ///
+    /// # Errors
+    ///
+    /// Writing the snapshot or reopening the world failed.
+    pub fn install_snapshot(&self, name: &str, bytes: &[u8]) -> Result<bool, String> {
+        let entry = self.entry(name)?;
+        let mut slot = entry.world.write().expect("world lock");
+        let dir = self.shared.durable.as_ref().expect("durable root");
+        let installed = install_snapshot_bytes(&dir.join("worlds").join(name), bytes)
+            .map_err(|e| e.to_string())?;
+        if installed.is_none() {
+            return Ok(false);
+        }
+        *slot = Some(build_world(&self.shared, name)?);
+        self.counters.snapshots_installed.inc();
+        Ok(true)
+    }
+
+    /// World `name`'s registry entry, built on first sight.
+    fn entry(&self, name: &str) -> Result<Arc<WorldEntry>, String> {
+        let mut registry = self.shared.registry.lock().expect("registry");
+        if let Some(entry) = registry.get(name) {
+            return Ok(Arc::clone(entry));
+        }
+        let entry = Arc::new(WorldEntry::new(name.to_string()));
+        *entry.world.write().expect("world lock") = Some(build_world(&self.shared, name)?);
+        registry.insert(name.to_string(), Arc::clone(&entry));
+        self.shared.c.worlds.inc();
+        self.counters.worlds.inc();
+        Ok(entry)
+    }
 }

@@ -248,11 +248,10 @@ impl Store {
         self.wal.durable_seq()
     }
 
-    /// Whether a write error has been latched (the log is broken and
-    /// no further appends will be recorded until [`Store::close`]
-    /// surfaces it).
-    pub fn has_write_error(&self) -> bool {
-        self.write_error.is_some()
+    /// The latched write error, if any: the log is broken and no
+    /// further appends will be recorded ([`Store::close`] surfaces it).
+    pub fn write_error(&self) -> Option<&std::io::Error> {
+        self.write_error.as_ref()
     }
 
     /// Group-commit acknowledgement sync: fsyncs only if records were

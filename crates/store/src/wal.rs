@@ -26,7 +26,7 @@ use std::time::Instant;
 
 use troll_runtime::Occurrence;
 
-use crate::codec::{Dec, Enc};
+use crate::codec::{CodecError, CodecErrorKind, Dec, Enc};
 use crate::frame::{read_frame, write_frame, FrameRead};
 use crate::StoreCounters;
 
@@ -35,6 +35,31 @@ pub const WAL_MAGIC: &[u8; 8] = b"TRLWAL1\n";
 
 /// Record tag: one committed step.
 pub const REC_STEP: u8 = 1;
+
+/// Decodes one record payload (the bytes inside a frame) into its
+/// sequence number and initial occurrences — the inverse of
+/// [`Wal::append`]'s encoding, shared by recovery and the follower.
+///
+/// # Errors
+///
+/// A non-step tag, a truncated field or trailing bytes.
+pub fn decode_step(payload: &[u8]) -> Result<(u64, Vec<Occurrence>), CodecError> {
+    let mut dec = Dec::new(payload);
+    if dec.u8()? != REC_STEP {
+        return Err(CodecError {
+            at: 0,
+            kind: CodecErrorKind::BadTag(payload[0]),
+        });
+    }
+    let seq = dec.u64()?;
+    let n = dec.count()?;
+    let mut initial = Vec::with_capacity(n);
+    for _ in 0..n {
+        initial.push(dec.occurrence()?);
+    }
+    dec.finish()?;
+    Ok((seq, initial))
+}
 
 /// When the operating system is asked to flush appended records to
 /// stable storage.
@@ -220,24 +245,7 @@ pub fn scan_wal(dir: &Path) -> std::io::Result<WalScan> {
                     break 'segments;
                 }
                 FrameRead::Frame { payload, next } => {
-                    let parsed = (|| {
-                        let mut dec = Dec::new(payload);
-                        if dec.u8()? != REC_STEP {
-                            return Err(crate::codec::CodecError {
-                                at: 0,
-                                kind: crate::codec::CodecErrorKind::BadTag(payload[0]),
-                            });
-                        }
-                        let seq = dec.u64()?;
-                        let n = dec.count()?;
-                        let mut initial = Vec::with_capacity(n);
-                        for _ in 0..n {
-                            initial.push(dec.occurrence()?);
-                        }
-                        dec.finish()?;
-                        Ok((seq, initial))
-                    })();
-                    let Ok((seq, initial)) = parsed else {
+                    let Ok((seq, initial)) = decode_step(payload) else {
                         // frame intact but record undecodable — same
                         // treatment as a corrupt frame
                         cut = Some((seg_idx, offset as u64));

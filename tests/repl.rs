@@ -1,9 +1,10 @@
 //! Replication differential: a follower that tails a durable serve
 //! primary converges on a **byte-identical** copy of every world's WAL
 //! and exactly the primary's world state — over every shipped spec.
-//! Also covers snapshot catch-up past a compacted log, the read-only
-//! query port, and promotion (a follower directory is a valid
-//! `--durable` root for a fresh primary).
+//! Also covers snapshot catch-up past a compacted log, the follower's
+//! read-only port (the serve loop in its read-only role), a cascading
+//! follower that tails that port, and promotion (a follower directory
+//! is a valid `--durable` root for a fresh primary).
 
 use std::fs;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -255,13 +256,7 @@ fn follower_serves_reads_and_refuses_writes() {
     let lines = drive(&mut client, "w", script);
     assert!(lines > 0);
 
-    // a free port for the follower's read-only listener
-    let port = std::net::TcpListener::bind("127.0.0.1:0")
-        .unwrap()
-        .local_addr()
-        .unwrap()
-        .port();
-    let listen = format!("127.0.0.1:{port}");
+    let listen = free_addr();
     let primary_addr = spawned.addr.to_string();
     let follow = std::thread::spawn({
         let follower_dir = follower_dir.clone();
@@ -280,20 +275,8 @@ fn follower_serves_reads_and_refuses_writes() {
     });
 
     // wait for the port, then for the tail to catch up
+    let mut ro = connect_when_up(&listen);
     let deadline = Instant::now() + Duration::from_secs(30);
-    let mut ro = loop {
-        match TcpStream::connect(&listen) {
-            Ok(stream) => {
-                stream.set_nodelay(true).unwrap();
-                break Client {
-                    reader: BufReader::new(stream.try_clone().unwrap()),
-                    writer: stream,
-                };
-            }
-            Err(_) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(10)),
-            Err(e) => panic!("follower port never came up: {e}"),
-        }
-    };
     let query = Request::QueryAttr {
         world: "w".to_string(),
         id: r#"|DEPT|("Toys")"#.to_string(),
@@ -350,7 +333,29 @@ fn follower_serves_reads_and_refuses_writes() {
         Response::Err(e) => assert!(e.contains("read-only"), "{e}"),
         other => panic!("follower accepted a write: {other:?}"),
     }
+    for world in ["w", "fresh"] {
+        match ro.round_trip(&Request::Open {
+            world: world.to_string(),
+        }) {
+            Response::Err(e) => assert!(e.contains("read-only"), "{e}"),
+            other => panic!("follower opened world `{world}`: {other:?}"),
+        }
+    }
     assert_eq!(ro.round_trip(&query), want);
+
+    // the replication verbs answer as the primary's do
+    for verb in [Request::ReplSpec, Request::ReplWorlds] {
+        assert_eq!(ro.round_trip(&verb), client.round_trip(&verb), "{verb:?}");
+    }
+    match ro.round_trip(&Request::Stats { world: None }) {
+        Response::Ok(stats) => {
+            for field in ["records_applied=", "snapshots_installed=", "polls="] {
+                assert!(stats.contains(field), "{field} missing: {stats}");
+            }
+            assert!(!stats.contains("records_applied=0 "), "{stats}");
+        }
+        other => panic!("stats failed: {other:?}"),
+    }
 
     // shutdown on the read-only port stops the whole follower
     ro.shutdown();
@@ -360,6 +365,123 @@ fn follower_serves_reads_and_refuses_writes() {
     spawned.join.join().unwrap().unwrap();
     let _ = fs::remove_dir_all(&primary_dir);
     let _ = fs::remove_dir_all(&follower_dir);
+}
+
+/// A follower's port speaks the primary's replication verbs, so a
+/// second follower can tail the first. The middle follower fsyncs every
+/// record (only durable records ship), and once it holds the primary's
+/// whole log, the end of the chain re-derives the primary's WAL byte
+/// for byte and recovers to the same world.
+#[test]
+fn cascading_follower_tails_a_follower() {
+    let (spec, script) = workload("dept");
+    let primary_dir = scratch("cascade-primary");
+    let middle_dir = scratch("cascade-middle");
+    let last_dir = scratch("cascade-last");
+    let spawned = spawn_primary(
+        spec,
+        &primary_dir,
+        StoreOptions {
+            fsync: FsyncPolicy::Group(2),
+            ..StoreOptions::default()
+        },
+    );
+    let mut client = Client::connect(spawned.addr);
+    drive(&mut client, "w", script);
+    let steps = match client.round_trip(&Request::Stats {
+        world: Some("w".to_string()),
+    }) {
+        Response::Ok(stats) => stats.split_whitespace().nth(2).unwrap().to_string(),
+        other => panic!("stats failed: {other:?}"),
+    };
+    assert!(steps.starts_with("steps="), "{steps}");
+
+    let listen = free_addr();
+    let middle = std::thread::spawn({
+        let primary_addr = spawned.addr.to_string();
+        let middle_dir = middle_dir.clone();
+        let listen = listen.clone();
+        move || {
+            let mut opts = FollowOptions {
+                poll_ms: 10,
+                listen: Some(listen),
+                ..Default::default()
+            };
+            opts.store.fsync = FsyncPolicy::EveryCommit;
+            run_follow(&primary_addr, &middle_dir, &opts)
+        }
+    });
+    let mut ro = connect_when_up(&listen);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        match ro.round_trip(&Request::Stats {
+            world: Some("w".to_string()),
+        }) {
+            Response::Ok(stats) if stats.contains(&format!(" {steps} ")) => break,
+            _ => {}
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the middle follower never caught up"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    let summary = run_follow(
+        &listen,
+        &last_dir,
+        &FollowOptions {
+            once: true,
+            ..Default::default()
+        },
+    )
+    .expect("follow the follower");
+    assert_eq!(summary.worlds, 1);
+    assert!(summary.records_applied > 0);
+
+    ro.shutdown();
+    middle
+        .join()
+        .unwrap()
+        .expect("middle follower exits cleanly");
+    client.shutdown();
+    spawned.join.join().unwrap().unwrap();
+    assert_same_dir(
+        "cascade",
+        &primary_dir.join("worlds/w"),
+        &last_dir.join("worlds/w"),
+    );
+    for dir in [&primary_dir, &middle_dir, &last_dir] {
+        let _ = fs::remove_dir_all(dir);
+    }
+}
+
+/// A free local address for a follower's listen port.
+fn free_addr() -> String {
+    let port = std::net::TcpListener::bind("127.0.0.1:0")
+        .unwrap()
+        .local_addr()
+        .unwrap()
+        .port();
+    format!("127.0.0.1:{port}")
+}
+
+/// Connects to a follower's port, retrying until it is up.
+fn connect_when_up(addr: &str) -> Client {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        match TcpStream::connect(addr) {
+            Ok(stream) => {
+                stream.set_nodelay(true).unwrap();
+                return Client {
+                    reader: BufReader::new(stream.try_clone().unwrap()),
+                    writer: stream,
+                };
+            }
+            Err(_) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(10)),
+            Err(e) => panic!("follower port never came up: {e}"),
+        }
+    }
 }
 
 /// Promotion: the follower's directory is a valid `--durable` root. A

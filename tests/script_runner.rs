@@ -99,3 +99,26 @@ fn shipped_demo_session_runs() {
     let outcomes = run_script(&mut ob, &script).expect("demo session runs");
     assert!(outcomes.len() >= 8);
 }
+
+/// `--` starts a comment only outside quoted literals: a key holding
+/// `--` is read whole, and a trailing `-- note` is still stripped.
+#[test]
+fn dashes_inside_quotes_are_not_comments() {
+    let mut ob = base();
+    let outcomes = run_script(
+        &mut ob,
+        r#"
+birth DEPT ("R--D") establishment (date(1991,10,16)) -- the lab
+exec |DEPT|("R--D") hire (|PERSON|("a--b"))   -- first hire
+show |DEPT|("R--D") employees--no space before this comment
+"#,
+    )
+    .unwrap();
+    assert_eq!(outcomes.len(), 3);
+    assert_eq!(outcomes[0].to_string(), r#"born DEPT("R--D")"#);
+    assert_eq!(outcomes[1], Outcome::Executed(1));
+    assert_eq!(
+        outcomes[2].to_string(),
+        r#"DEPT("R--D").employees = {PERSON("a--b")}"#
+    );
+}

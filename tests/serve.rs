@@ -7,8 +7,9 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 use troll::runtime::ObjectBase;
-use troll::script::run_command;
+use troll::script::{run_command, run_script};
 use troll::serve::{LoadConfig, Request, Response, ServeOptions, Server};
+use troll::store::StoreOptions;
 use troll::System;
 
 #[path = "dept_queries.rs"]
@@ -533,4 +534,86 @@ fn oversized_line_drops_only_that_connection() {
     );
     fine.shutdown();
     spawned.join.join().unwrap().unwrap();
+}
+
+/// A `--` inside a quoted literal belongs to the literal, not to a
+/// comment, and a trailing `-- note` is still stripped: each served
+/// answer is byte-equal to what `animate` prints for the same line.
+#[test]
+fn dashes_inside_quotes_are_not_comments() {
+    let lines = [
+        r#"birth DEPT ("R--D") establishment (date(1991,10,16)) -- founded"#,
+        r#"exec |DEPT|("R--D") hire (|PERSON|("a--b")) -- first hire"#,
+        r#"show |DEPT|("R--D") employees"#,
+    ];
+    let mut oracle = scan_oracle();
+    let spawned = spawn_server(ServeOptions::default());
+    let mut client = Client::connect(spawned.addr);
+    open_world(&mut client, "w");
+    for line in lines {
+        let outcomes = run_script(&mut oracle, line).expect("animate runs the line");
+        assert_eq!(outcomes.len(), 1, "{line}");
+        let got = client.round_trip(&submit("w", line));
+        assert_eq!(got, Response::Ok(outcomes[0].to_string()), "line: {line}");
+    }
+    client.shutdown();
+    spawned.join.join().unwrap().unwrap();
+}
+
+/// A durable world whose WAL can no longer be written does not
+/// acknowledge the step that hit the failure, nor any later one. One
+/// record per segment makes every append rotate; once the world's
+/// directory is a regular file, creating the next segment fails with
+/// ENOTDIR (for root too).
+#[test]
+fn failed_wal_write_is_not_acknowledged() {
+    let dir = std::env::temp_dir().join(format!("troll-serve-walfail-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let spawned = spawn_server(ServeOptions {
+        durable: Some(dir.clone()),
+        store: StoreOptions {
+            segment_bytes: 1,
+            ..StoreOptions::default()
+        },
+        ..Default::default()
+    });
+    let mut client = Client::connect(spawned.addr);
+    open_world(&mut client, "w");
+    assert_eq!(
+        client.round_trip(&submit(
+            "w",
+            r#"birth DEPT ("Toys") establishment (date(1991,10,16))"#
+        )),
+        Response::Ok(r#"born DEPT("Toys")"#.to_string())
+    );
+    for p in ["ada", "bob"] {
+        let hire = format!(r#"exec |DEPT|("Toys") hire (|PERSON|("{p}"))"#);
+        assert_eq!(
+            client.round_trip(&submit("w", &hire)),
+            Response::Ok("executed 1 event(s)".to_string())
+        );
+    }
+
+    let world_dir = dir.join("worlds").join("w");
+    std::fs::remove_dir_all(&world_dir).unwrap();
+    std::fs::write(&world_dir, b"not a directory").unwrap();
+    for p in ["cyd", "dan"] {
+        let hire = format!(r#"exec |DEPT|("Toys") hire (|PERSON|("{p}"))"#);
+        match client.round_trip(&submit("w", &hire)) {
+            Response::Err(e) => assert!(e.contains("log write failed"), "{e}"),
+            other => panic!("acknowledged a step the WAL refused: {other:?}"),
+        }
+    }
+    // reads still work; the world just takes no more writes
+    assert!(matches!(
+        client.round_trip(&Request::QueryAttr {
+            world: "w".to_string(),
+            id: r#"|DEPT|("Toys")"#.to_string(),
+            attr: "employees".to_string(),
+        }),
+        Response::Ok(_)
+    ));
+    client.shutdown();
+    spawned.join.join().unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
 }
