@@ -48,6 +48,7 @@
 #![warn(missing_docs)]
 
 pub mod algebra;
+mod avl;
 mod date;
 mod error;
 mod money;

@@ -1,12 +1,12 @@
 //! Persistent, structurally shared collection values.
 //!
 //! [`PSet`], [`PList`] and [`PMap`] are the payloads of `Value::Set`,
-//! `Value::List` and `Value::Map`. They follow the same playbook as
-//! [`StateMap`](crate::StateMap): path-copying AVL trees whose nodes are
-//! shared via [`Arc`], so cloning a collection is O(1) and producing
-//! "old collection ± one element" is O(log n) — only the spine from the
-//! root to the touched position is reallocated, everything else is
-//! shared with the previous version.
+//! `Value::List` and `Value::Map`. Like [`StateMap`](crate::StateMap)
+//! they are typed wrappers over the crate's one path-copying AVL core
+//! (`avl.rs`), so cloning a collection is O(1) and producing "old
+//! collection ± one element" is O(log n) — only the spine from the root
+//! to the touched position is reallocated, everything else is shared
+//! with the previous version.
 //!
 //! This is what makes delta-shaped valuation rules
 //! (`employees := insert(P, employees)`) flat in history: historical
@@ -23,300 +23,15 @@
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 
-// ---------------------------------------------------------------------------
-// shared AVL core
-// ---------------------------------------------------------------------------
-
-type Link<T> = Option<Arc<Node<T>>>;
-
-#[derive(Debug)]
-struct Node<T> {
-    elem: T,
-    left: Link<T>,
-    right: Link<T>,
-    height: u8,
-    size: usize,
-}
-
-fn height<T>(l: &Link<T>) -> u8 {
-    l.as_ref().map_or(0, |n| n.height)
-}
-
-fn size<T>(l: &Link<T>) -> usize {
-    l.as_ref().map_or(0, |n| n.size)
-}
-
-fn mk<T>(elem: T, left: Link<T>, right: Link<T>) -> Arc<Node<T>> {
-    let height = 1 + height(&left).max(height(&right));
-    let size = 1 + size(&left) + size(&right);
-    Arc::new(Node {
-        elem,
-        left,
-        right,
-        height,
-        size,
-    })
-}
-
-/// Rebuilds a node and restores the AVL invariant (|balance| ≤ 1) with
-/// at most two rotations. `elem`'s subtrees may differ in height by at
-/// most 2, which is all that path-copy insert/remove can produce.
-fn balance<T: Clone>(elem: T, left: Link<T>, right: Link<T>) -> Arc<Node<T>> {
-    let (hl, hr) = (height(&left), height(&right));
-    if hl > hr + 1 {
-        let l = left.as_ref().expect("left-heavy implies left node");
-        if height(&l.left) >= height(&l.right) {
-            // single right rotation
-            let new_right = mk(elem, l.right.clone(), right);
-            mk(l.elem.clone(), l.left.clone(), Some(new_right))
-        } else {
-            // left-right double rotation
-            let lr = l.right.as_ref().expect("double rotation pivot");
-            let new_left = mk(l.elem.clone(), l.left.clone(), lr.left.clone());
-            let new_right = mk(elem, lr.right.clone(), right);
-            mk(lr.elem.clone(), Some(new_left), Some(new_right))
-        }
-    } else if hr > hl + 1 {
-        let r = right.as_ref().expect("right-heavy implies right node");
-        if height(&r.right) >= height(&r.left) {
-            // single left rotation
-            let new_left = mk(elem, left, r.left.clone());
-            mk(r.elem.clone(), Some(new_left), r.right.clone())
-        } else {
-            // right-left double rotation
-            let rl = r.left.as_ref().expect("double rotation pivot");
-            let new_left = mk(elem, left, rl.left.clone());
-            let new_right = mk(r.elem.clone(), rl.right.clone(), r.right.clone());
-            mk(rl.elem.clone(), Some(new_left), Some(new_right))
-        }
-    } else {
-        mk(elem, left, right)
-    }
-}
-
-/// Removes the minimum element of a non-empty subtree, returning it and
-/// the remaining tree.
-fn take_min<T: Clone>(node: &Arc<Node<T>>) -> (T, Link<T>) {
-    match &node.left {
-        None => (node.elem.clone(), node.right.clone()),
-        Some(l) => {
-            let (min, rest) = take_min(l);
-            (
-                min,
-                Some(balance(node.elem.clone(), rest, node.right.clone())),
-            )
-        }
-    }
-}
-
-/// Ordered insert by `cmp`. Returns `None` when an equal element is
-/// already present and `replace` is false (the tree is unchanged — the
-/// caller keeps the original root, preserving sharing), otherwise the
-/// new root and the displaced element, if any.
-fn ins_ord<T: Clone>(
-    link: &Link<T>,
-    elem: &T,
-    cmp: &impl Fn(&T, &T) -> Ordering,
-    replace: bool,
-) -> Option<(Arc<Node<T>>, Option<T>)> {
-    match link {
-        None => Some((mk(elem.clone(), None, None), None)),
-        Some(n) => match cmp(elem, &n.elem) {
-            Ordering::Equal => {
-                if replace {
-                    let old = n.elem.clone();
-                    Some((mk(elem.clone(), n.left.clone(), n.right.clone()), Some(old)))
-                } else {
-                    None
-                }
-            }
-            Ordering::Less => ins_ord(&n.left, elem, cmp, replace)
-                .map(|(l, old)| (balance(n.elem.clone(), Some(l), n.right.clone()), old)),
-            Ordering::Greater => ins_ord(&n.right, elem, cmp, replace)
-                .map(|(r, old)| (balance(n.elem.clone(), n.left.clone(), Some(r)), old)),
-        },
-    }
-}
-
-/// Ordered remove by `cmp`. Returns `None` when no equal element exists
-/// (the tree is unchanged), otherwise the new root and the removed
-/// element.
-fn rem_ord<T: Clone>(
-    link: &Link<T>,
-    key: &T,
-    cmp: &impl Fn(&T, &T) -> Ordering,
-) -> Option<(Link<T>, T)> {
-    let n = link.as_ref()?;
-    match cmp(key, &n.elem) {
-        Ordering::Equal => {
-            let removed = n.elem.clone();
-            let rest = match (&n.left, &n.right) {
-                (None, r) => r.clone(),
-                (l, None) => l.clone(),
-                (l, Some(r)) => {
-                    let (succ, r_rest) = take_min(r);
-                    Some(balance(succ, l.clone(), r_rest))
-                }
-            };
-            Some((rest, removed))
-        }
-        Ordering::Less => rem_ord(&n.left, key, cmp)
-            .map(|(l, removed)| (Some(balance(n.elem.clone(), l, n.right.clone())), removed)),
-        Ordering::Greater => rem_ord(&n.right, key, cmp)
-            .map(|(r, removed)| (Some(balance(n.elem.clone(), n.left.clone(), r)), removed)),
-    }
-}
-
-fn get_ord<'a, T, K: ?Sized>(
-    link: &'a Link<T>,
-    key: &K,
-    cmp: &impl Fn(&K, &T) -> Ordering,
-) -> Option<&'a T> {
-    let mut cur = link;
-    while let Some(n) = cur {
-        match cmp(key, &n.elem) {
-            Ordering::Equal => return Some(&n.elem),
-            Ordering::Less => cur = &n.left,
-            Ordering::Greater => cur = &n.right,
-        }
-    }
-    None
-}
-
-/// Positional insert (list semantics); `idx ≤ size`.
-fn ins_at<T: Clone>(link: &Link<T>, idx: usize, elem: T) -> Arc<Node<T>> {
-    match link {
-        None => mk(elem, None, None),
-        Some(n) => {
-            let lsz = size(&n.left);
-            if idx <= lsz {
-                balance(
-                    n.elem.clone(),
-                    Some(ins_at(&n.left, idx, elem)),
-                    n.right.clone(),
-                )
-            } else {
-                balance(
-                    n.elem.clone(),
-                    n.left.clone(),
-                    Some(ins_at(&n.right, idx - lsz - 1, elem)),
-                )
-            }
-        }
-    }
-}
-
-/// Positional remove (list semantics); `idx < size`.
-fn rem_at<T: Clone>(node: &Arc<Node<T>>, idx: usize) -> (Link<T>, T) {
-    let lsz = size(&node.left);
-    match idx.cmp(&lsz) {
-        Ordering::Equal => {
-            let removed = node.elem.clone();
-            let rest = match (&node.left, &node.right) {
-                (None, r) => r.clone(),
-                (l, None) => l.clone(),
-                (l, Some(r)) => {
-                    let (succ, r_rest) = take_min(r);
-                    Some(balance(succ, l.clone(), r_rest))
-                }
-            };
-            (rest, removed)
-        }
-        Ordering::Less => {
-            let l = node.left.as_ref().expect("idx < lsz implies left node");
-            let (l_rest, removed) = rem_at(l, idx);
-            (
-                Some(balance(node.elem.clone(), l_rest, node.right.clone())),
-                removed,
-            )
-        }
-        Ordering::Greater => {
-            let r = node.right.as_ref().expect("idx > lsz implies right node");
-            let (r_rest, removed) = rem_at(r, idx - lsz - 1);
-            (
-                Some(balance(node.elem.clone(), node.left.clone(), r_rest)),
-                removed,
-            )
-        }
-    }
-}
-
-fn get_at<T>(link: &Link<T>, idx: usize) -> Option<&T> {
-    let mut cur = link;
-    let mut idx = idx;
-    while let Some(n) = cur {
-        let lsz = size(&n.left);
-        match idx.cmp(&lsz) {
-            Ordering::Equal => return Some(&n.elem),
-            Ordering::Less => cur = &n.left,
-            Ordering::Greater => {
-                idx -= lsz + 1;
-                cur = &n.right;
-            }
-        }
-    }
-    None
-}
-
-/// Builds a balanced tree from a slice of already-ordered elements in
-/// O(n) without rotations.
-fn build<T: Clone>(elems: &[T]) -> Link<T> {
-    if elems.is_empty() {
-        return None;
-    }
-    let mid = elems.len() / 2;
-    Some(mk(
-        elems[mid].clone(),
-        build(&elems[..mid]),
-        build(&elems[mid + 1..]),
-    ))
-}
-
-/// In-order borrowing iterator over a tree.
-pub struct TreeIter<'a, T> {
-    stack: Vec<&'a Node<T>>,
-}
-
-impl<'a, T> TreeIter<'a, T> {
-    fn new(root: &'a Link<T>) -> Self {
-        let mut it = TreeIter { stack: Vec::new() };
-        it.push_left(root);
-        it
-    }
-
-    fn push_left(&mut self, mut link: &'a Link<T>) {
-        while let Some(n) = link {
-            self.stack.push(n);
-            link = &n.left;
-        }
-    }
-}
-
-impl<'a, T> Iterator for TreeIter<'a, T> {
-    type Item = &'a T;
-
-    fn next(&mut self) -> Option<&'a T> {
-        let n = self.stack.pop()?;
-        self.push_left(&n.right);
-        Some(&n.elem)
-    }
-}
-
-fn link_ptr_eq<T>(a: &Link<T>, b: &Link<T>) -> bool {
-    match (a, b) {
-        (None, None) => true,
-        (Some(x), Some(y)) => Arc::ptr_eq(x, y),
-        _ => false,
-    }
-}
+use crate::avl::{
+    build, get_at, get_ord, ins_at, ins_ord, link_ptr_eq, rem_at, rem_ord, size, Link, TreeIter,
+};
+use crate::Value;
 
 // ---------------------------------------------------------------------------
 // PSet
 // ---------------------------------------------------------------------------
-
-use crate::Value;
 
 /// A persistent finite set of [`Value`]s, iterated in ascending order.
 ///
@@ -353,7 +68,7 @@ impl PSet {
 
     /// Inserts `v`; returns `true` if it was not already present.
     pub fn insert(&mut self, v: Value) -> bool {
-        match ins_ord(&self.root, &v, &|a: &Value, b: &Value| a.cmp(b), false) {
+        match ins_ord(&self.root, v, &|a: &Value, b: &Value| a.cmp(b), |_, _| None) {
             Some((root, _)) => {
                 self.root = Some(root);
                 true
@@ -660,6 +375,10 @@ fn key_cmp(a: &(Value, Value), b: &(Value, Value)) -> Ordering {
     a.0.cmp(&b.0)
 }
 
+fn probe_cmp(key: &Value, e: &(Value, Value)) -> Ordering {
+    key.cmp(&e.0)
+}
+
 impl PMap {
     /// The empty map.
     pub fn new() -> Self {
@@ -678,10 +397,7 @@ impl PMap {
 
     /// Looks up the value for `key`, O(log n).
     pub fn get(&self, key: &Value) -> Option<&Value> {
-        get_ord(&self.root, key, &|k: &Value, e: &(Value, Value)| {
-            k.cmp(&e.0)
-        })
-        .map(|e| &e.1)
+        get_ord(&self.root, key, &probe_cmp).map(|e| &e.1)
     }
 
     /// Whether `key` has an entry.
@@ -692,8 +408,7 @@ impl PMap {
     /// Inserts or replaces the entry for `key`; returns the previous
     /// value, if any.
     pub fn insert(&mut self, key: Value, value: Value) -> Option<Value> {
-        let entry = (key, value);
-        let (root, old) = ins_ord(&self.root, &entry, &key_cmp, true)
+        let (root, old) = ins_ord(&self.root, (key, value), &key_cmp, |_, new| Some(new))
             .expect("replace-mode insert always changes the tree");
         self.root = Some(root);
         old.map(|(_, v)| v)
@@ -701,8 +416,7 @@ impl PMap {
 
     /// Removes the entry for `key`; returns its value, if any.
     pub fn remove(&mut self, key: &Value) -> Option<Value> {
-        let probe = (key.clone(), Value::Undefined);
-        match rem_ord(&self.root, &probe, &key_cmp) {
+        match rem_ord(&self.root, key, &probe_cmp) {
             Some((root, (_, v))) => {
                 self.root = root;
                 Some(v)
@@ -805,6 +519,7 @@ impl IntoIterator for PMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::avl::check_avl;
     use proptest::prelude::*;
     use std::collections::{BTreeMap, BTreeSet};
 
@@ -890,20 +605,6 @@ mod tests {
         assert_eq!(p.remove(&vi(1)), b.remove(&vi(1)));
         assert_eq!(p.remove(&vi(9)), b.remove(&vi(9)));
         assert!(p.iter().eq(b.iter()));
-    }
-
-    fn check_avl(link: &Link<Value>) -> u8 {
-        match link {
-            None => 0,
-            Some(n) => {
-                let hl = check_avl(&n.left);
-                let hr = check_avl(&n.right);
-                assert!(hl.abs_diff(hr) <= 1, "AVL invariant violated");
-                assert_eq!(n.height, 1 + hl.max(hr));
-                assert_eq!(n.size, 1 + size(&n.left) + size(&n.right));
-                1 + hl.max(hr)
-            }
-        }
     }
 
     proptest! {

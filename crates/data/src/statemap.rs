@@ -4,14 +4,16 @@
 //! life carry the attribute state the object exhibited at that point
 //! (`obs(b·t)`, §3), so the runtime snapshots the state map on every
 //! committed event — and keeps every historical snapshot alive in the
-//! trace. [`StateMap`] makes those snapshots cheap: it is an immutable
-//! balanced search tree with [`Arc`]-shared nodes, so
+//! trace. [`StateMap`] makes those snapshots cheap: it is a typed
+//! wrapper over the crate's one path-copying AVL core (`avl.rs`, shared
+//! with [`PSet`](crate::PSet), [`PList`](crate::PList) and
+//! [`PMap`](crate::PMap)), so
 //!
 //! * `clone` is O(1) — a reference-count bump on the root;
 //! * `insert`/`remove` are O(log n) — only the root-to-leaf path is
 //!   copied, everything else is shared with the previous version;
 //! * `get` is O(log n), iteration is in key order (matching the
-//!   `BTreeMap` it replaced);
+//!   `BTreeMap` it replaced), and `len` is O(1) from the root's size;
 //! * [`StateMap::ptr_eq`] answers "same snapshot?" in O(1).
 //!
 //! Keys are `Arc<str>` and values `Arc<Value>`, so path copies share
@@ -25,15 +27,17 @@
 //! * `state.clone_shared` — O(1) shared-root clones taken;
 //! * `state.path_copy` — insert/remove operations that copied a path.
 //!
-//! The `btree-state` cargo feature swaps the internals for a plain
-//! `BTreeMap` with the same API — the differential-testing oracle: the
-//! whole suite can run against either representation and must behave
-//! identically (only cost and the sharing counters change).
+//! There is one representation and no oracle build: the differential
+//! proptests in `tests/statemap_differential.rs` compare every entry
+//! point with `BTreeMap`, and the unit tests check the tree's balance
+//! and sizes after every operation.
 
+use crate::avl::{get_ord, ins_ord, link_ptr_eq, rem_ord, size, Link, TreeIter};
 use crate::value::Value;
 use crate::Env;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use troll_obs::Counter;
 
 /// Counter of O(1) shared-root clones (`state.clone_shared`).
@@ -48,429 +52,88 @@ fn path_copy() -> &'static Counter {
     C.get_or_init(|| troll_obs::global().counter("state.path_copy"))
 }
 
-#[cfg(not(feature = "btree-state"))]
-mod imp {
-    use super::{clone_shared, path_copy, Value};
-    use std::cmp::Ordering;
-    use std::sync::Arc;
+/// One entry: `Arc`s, so a path copy shares the key and value with the
+/// previous version of the map.
+type Entry = (Arc<str>, Arc<Value>);
 
-    /// One tree node. `key`/`value` are `Arc`s so a path copy shares
-    /// them with the previous version of the map.
-    #[derive(Debug)]
-    pub(super) struct Node {
-        key: Arc<str>,
-        value: Arc<Value>,
-        left: Link,
-        right: Link,
-        height: u8,
-    }
-
-    type Link = Option<Arc<Node>>;
-
-    fn height(link: &Link) -> u8 {
-        link.as_ref().map_or(0, |n| n.height)
-    }
-
-    /// Allocates a node over existing children (the only constructor —
-    /// height is always derived, never stored stale).
-    fn mk(key: Arc<str>, value: Arc<Value>, left: Link, right: Link) -> Arc<Node> {
-        let height = 1 + height(&left).max(height(&right));
-        Arc::new(Node {
-            key,
-            value,
-            left,
-            right,
-            height,
-        })
-    }
-
-    /// Rebuilds a node AVL-balanced. Children differ from the parent's
-    /// previous children in at most one subtree, so at most two
-    /// rotations restore the invariant.
-    fn balance(key: Arc<str>, value: Arc<Value>, left: Link, right: Link) -> Arc<Node> {
-        let (hl, hr) = (height(&left), height(&right));
-        if hl > hr + 1 {
-            // left-heavy: the left child exists by the height bound
-            let l = left.expect("left-heavy node has a left child");
-            if height(&l.left) >= height(&l.right) {
-                // single right rotation
-                let new_right = mk(key, value, l.right.clone(), right);
-                mk(
-                    l.key.clone(),
-                    l.value.clone(),
-                    l.left.clone(),
-                    Some(new_right),
-                )
-            } else {
-                // left-right double rotation
-                let lr = l.right.as_ref().expect("taller right subtree exists");
-                let new_left = mk(
-                    l.key.clone(),
-                    l.value.clone(),
-                    l.left.clone(),
-                    lr.left.clone(),
-                );
-                let new_right = mk(key, value, lr.right.clone(), right);
-                mk(
-                    lr.key.clone(),
-                    lr.value.clone(),
-                    Some(new_left),
-                    Some(new_right),
-                )
-            }
-        } else if hr > hl + 1 {
-            let r = right.expect("right-heavy node has a right child");
-            if height(&r.right) >= height(&r.left) {
-                // single left rotation
-                let new_left = mk(key, value, left, r.left.clone());
-                mk(
-                    r.key.clone(),
-                    r.value.clone(),
-                    Some(new_left),
-                    r.right.clone(),
-                )
-            } else {
-                // right-left double rotation
-                let rl = r.left.as_ref().expect("taller left subtree exists");
-                let new_left = mk(key, value, left, rl.left.clone());
-                let new_right = mk(
-                    r.key.clone(),
-                    r.value.clone(),
-                    rl.right.clone(),
-                    r.right.clone(),
-                );
-                mk(
-                    rl.key.clone(),
-                    rl.value.clone(),
-                    Some(new_left),
-                    Some(new_right),
-                )
-            }
-        } else {
-            mk(key, value, left, right)
-        }
-    }
-
-    /// Returns the rebuilt subtree and whether the key was new.
-    fn insert_rec(link: &Link, key: &Arc<str>, value: &Arc<Value>) -> (Arc<Node>, bool) {
-        match link {
-            None => (mk(key.clone(), value.clone(), None, None), true),
-            Some(node) => match key.as_ref().cmp(node.key.as_ref()) {
-                Ordering::Equal => (
-                    // same key: replace the value in place, keep children
-                    mk(
-                        node.key.clone(),
-                        value.clone(),
-                        node.left.clone(),
-                        node.right.clone(),
-                    ),
-                    false,
-                ),
-                Ordering::Less => {
-                    let (new_left, added) = insert_rec(&node.left, key, value);
-                    (
-                        balance(
-                            node.key.clone(),
-                            node.value.clone(),
-                            Some(new_left),
-                            node.right.clone(),
-                        ),
-                        added,
-                    )
-                }
-                Ordering::Greater => {
-                    let (new_right, added) = insert_rec(&node.right, key, value);
-                    (
-                        balance(
-                            node.key.clone(),
-                            node.value.clone(),
-                            node.left.clone(),
-                            Some(new_right),
-                        ),
-                        added,
-                    )
-                }
-            },
-        }
-    }
-
-    /// Removes the minimum node, returning (its key, its value, rest).
-    fn take_min(node: &Arc<Node>) -> (Arc<str>, Arc<Value>, Link) {
-        match &node.left {
-            None => (node.key.clone(), node.value.clone(), node.right.clone()),
-            Some(left) => {
-                let (k, v, rest) = take_min(left);
-                (
-                    k,
-                    v,
-                    Some(balance(
-                        node.key.clone(),
-                        node.value.clone(),
-                        rest,
-                        node.right.clone(),
-                    )),
-                )
-            }
-        }
-    }
-
-    /// Returns the rebuilt subtree (None if emptied) and the removed
-    /// value, or `None` if the key was absent (subtree fully shared).
-    fn remove_rec(link: &Link, key: &str) -> Option<(Link, Arc<Value>)> {
-        let node = link.as_ref()?;
-        match key.cmp(node.key.as_ref()) {
-            Ordering::Equal => {
-                let rebuilt = match (&node.left, &node.right) {
-                    (None, r) => r.clone(),
-                    (l, None) => l.clone(),
-                    (Some(_), Some(right)) => {
-                        let (k, v, rest) = take_min(right);
-                        Some(balance(k, v, node.left.clone(), rest))
-                    }
-                };
-                Some((rebuilt, node.value.clone()))
-            }
-            Ordering::Less => {
-                let (new_left, removed) = remove_rec(&node.left, key)?;
-                Some((
-                    Some(balance(
-                        node.key.clone(),
-                        node.value.clone(),
-                        new_left,
-                        node.right.clone(),
-                    )),
-                    removed,
-                ))
-            }
-            Ordering::Greater => {
-                let (new_right, removed) = remove_rec(&node.right, key)?;
-                Some((
-                    Some(balance(
-                        node.key.clone(),
-                        node.value.clone(),
-                        node.left.clone(),
-                        new_right,
-                    )),
-                    removed,
-                ))
-            }
-        }
-    }
-
-    /// A persistent ordered map from attribute names to [`Value`]s with
-    /// O(1) structurally-shared clones (see the module docs).
-    #[derive(Debug, Default)]
-    pub struct StateMap {
-        root: Link,
-        len: usize,
-    }
-
-    impl StateMap {
-        /// Creates an empty map.
-        pub fn new() -> Self {
-            StateMap { root: None, len: 0 }
-        }
-
-        /// Number of entries.
-        pub fn len(&self) -> usize {
-            self.len
-        }
-
-        /// Whether the map is empty.
-        pub fn is_empty(&self) -> bool {
-            self.len == 0
-        }
-
-        /// Looks up a key — O(log n), no allocation.
-        pub fn get(&self, key: &str) -> Option<&Value> {
-            let mut cur = self.root.as_ref()?;
-            loop {
-                match key.cmp(cur.key.as_ref()) {
-                    Ordering::Equal => return Some(&cur.value),
-                    Ordering::Less => cur = cur.left.as_ref()?,
-                    Ordering::Greater => cur = cur.right.as_ref()?,
-                }
-            }
-        }
-
-        /// Inserts or replaces — O(log n): copies the root-to-leaf path,
-        /// shares every untouched subtree, key and value with the
-        /// previous version.
-        pub fn insert(&mut self, key: impl Into<Arc<str>>, value: Value) {
-            self.insert_shared(key.into(), Arc::new(value));
-        }
-
-        /// Insert taking already-shared key/value handles (used by
-        /// [`StateMap::union`] so merged entries share allocations).
-        pub(super) fn insert_shared(&mut self, key: Arc<str>, value: Arc<Value>) {
-            path_copy().inc();
-            let (root, added) = insert_rec(&self.root, &key, &value);
-            self.root = Some(root);
-            if added {
-                self.len += 1;
-            }
-        }
-
-        /// Removes a key, returning whether it was present — O(log n).
-        pub fn remove(&mut self, key: &str) -> Option<Value> {
-            let (root, removed) = remove_rec(&self.root, key)?;
-            path_copy().inc();
-            self.root = root;
-            self.len -= 1;
-            Some(removed.as_ref().clone())
-        }
-
-        /// Whether both maps share the same root — O(1). `true` implies
-        /// equality; `false` implies nothing.
-        pub fn ptr_eq(&self, other: &Self) -> bool {
-            match (&self.root, &other.root) {
-                (None, None) => true,
-                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-                _ => false,
-            }
-        }
-
-        /// Iterates in ascending key order.
-        pub fn iter(&self) -> Iter<'_> {
-            let mut iter = Iter { stack: Vec::new() };
-            iter.push_left(&self.root);
-            iter
-        }
-
-        /// The entries as shared handles, in key order (crate-internal:
-        /// lets [`StateMap::union`] avoid re-allocating keys/values).
-        pub(super) fn iter_shared(&self) -> impl Iterator<Item = (&Arc<str>, &Arc<Value>)> {
-            let mut iter = Iter { stack: Vec::new() };
-            iter.push_left(&self.root);
-            std::iter::from_fn(move || {
-                let node = iter.stack.pop()?;
-                iter.push_left(&node.right);
-                Some((&node.key, &node.value))
-            })
-        }
-    }
-
-    impl Clone for StateMap {
-        fn clone(&self) -> Self {
-            clone_shared().inc();
-            StateMap {
-                root: self.root.clone(),
-                len: self.len,
-            }
-        }
-    }
-
-    /// In-order iterator over a [`StateMap`].
-    pub struct Iter<'a> {
-        stack: Vec<&'a Node>,
-    }
-
-    impl<'a> Iter<'a> {
-        fn push_left(&mut self, mut link: &'a Link) {
-            while let Some(node) = link {
-                self.stack.push(node);
-                link = &node.left;
-            }
-        }
-    }
-
-    impl<'a> Iterator for Iter<'a> {
-        type Item = (&'a str, &'a Value);
-
-        fn next(&mut self) -> Option<Self::Item> {
-            let node = self.stack.pop()?;
-            self.push_left(&node.right);
-            Some((node.key.as_ref(), &node.value))
-        }
-    }
+fn key_cmp(a: &Entry, b: &Entry) -> Ordering {
+    a.0.cmp(&b.0)
 }
 
-#[cfg(feature = "btree-state")]
-mod imp {
-    use super::Value;
-    use std::collections::BTreeMap;
-    use std::sync::Arc;
-
-    /// Differential-testing oracle representation: the plain `BTreeMap`
-    /// the persistent tree replaced, behind the identical API. Clones
-    /// are deep, `ptr_eq` is conservatively `false` for non-empty maps,
-    /// and the sharing counters stay silent.
-    #[derive(Debug, Default, Clone)]
-    pub struct StateMap {
-        map: BTreeMap<String, Value>,
-    }
-
-    impl StateMap {
-        /// Creates an empty map.
-        pub fn new() -> Self {
-            StateMap {
-                map: BTreeMap::new(),
-            }
-        }
-
-        /// Number of entries.
-        pub fn len(&self) -> usize {
-            self.map.len()
-        }
-
-        /// Whether the map is empty.
-        pub fn is_empty(&self) -> bool {
-            self.map.is_empty()
-        }
-
-        /// Looks up a key.
-        pub fn get(&self, key: &str) -> Option<&Value> {
-            self.map.get(key)
-        }
-
-        /// Inserts or replaces.
-        pub fn insert(&mut self, key: impl Into<Arc<str>>, value: Value) {
-            self.map.insert(key.into().as_ref().to_string(), value);
-        }
-
-        pub(super) fn insert_shared(&mut self, key: Arc<str>, value: Arc<Value>) {
-            self.map
-                .insert(key.as_ref().to_string(), value.as_ref().clone());
-        }
-
-        /// Removes a key, returning the removed value if present.
-        pub fn remove(&mut self, key: &str) -> Option<Value> {
-            self.map.remove(key)
-        }
-
-        /// No sharing in the oracle: only empty maps compare as shared.
-        pub fn ptr_eq(&self, other: &Self) -> bool {
-            self.map.is_empty() && other.map.is_empty()
-        }
-
-        /// Iterates in ascending key order.
-        pub fn iter(&self) -> Iter<'_> {
-            Iter {
-                inner: self.map.iter(),
-            }
-        }
-    }
-
-    /// In-order iterator over the oracle [`StateMap`].
-    pub struct Iter<'a> {
-        inner: std::collections::btree_map::Iter<'a, String, Value>,
-    }
-
-    impl<'a> Iterator for Iter<'a> {
-        type Item = (&'a str, &'a Value);
-
-        fn next(&mut self) -> Option<Self::Item> {
-            self.inner.next().map(|(k, v)| (k.as_str(), v))
-        }
-    }
+fn probe_cmp(key: &str, e: &Entry) -> Ordering {
+    key.cmp(&e.0)
 }
 
-pub use imp::{Iter, StateMap};
+/// A persistent ordered map from attribute names to [`Value`]s with
+/// O(1) structurally-shared clones (see the module docs).
+#[derive(Debug, Default)]
+pub struct StateMap {
+    root: Link<Entry>,
+}
 
 impl StateMap {
+    /// Creates an empty map.
+    pub fn new() -> Self {
+        StateMap { root: None }
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        size(&self.root)
+    }
+
+    /// Whether the map is empty.
+    pub fn is_empty(&self) -> bool {
+        self.root.is_none()
+    }
+
+    /// Looks up a key — O(log n), no allocation.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        get_ord(&self.root, key, &probe_cmp).map(|e| e.1.as_ref())
+    }
+
     /// Whether a key is present — O(log n).
     pub fn contains_key(&self, key: &str) -> bool {
         self.get(key).is_some()
+    }
+
+    /// Inserts or replaces — O(log n): copies the root-to-leaf path,
+    /// shares every untouched subtree, key and value with the
+    /// previous version.
+    pub fn insert(&mut self, key: impl Into<Arc<str>>, value: Value) {
+        self.insert_entry((key.into(), Arc::new(value)));
+    }
+
+    /// Insert taking an already-shared entry (used by
+    /// [`StateMap::union`] so merged entries share allocations).
+    fn insert_entry(&mut self, entry: Entry) {
+        path_copy().inc();
+        // a replaced entry keeps its key handle, so every version of the
+        // map (each a trace step's observation) shares one key allocation
+        let (root, _) = ins_ord(&self.root, entry, &key_cmp, |(key, _), (_, value)| {
+            Some((key.clone(), value))
+        })
+        .expect("a replacing insert always changes the tree");
+        self.root = Some(root);
+    }
+
+    /// Removes a key, returning its value if it was present — O(log n).
+    pub fn remove(&mut self, key: &str) -> Option<Value> {
+        let (root, (_, value)) = rem_ord(&self.root, key, &probe_cmp)?;
+        path_copy().inc();
+        self.root = root;
+        Some(Arc::unwrap_or_clone(value))
+    }
+
+    /// Whether both maps share the same root — O(1). `true` implies
+    /// equality; `false` implies nothing.
+    pub fn ptr_eq(&self, other: &Self) -> bool {
+        link_ptr_eq(&self.root, &other.root)
+    }
+
+    /// Iterates in ascending key order.
+    pub fn iter(&self) -> Iter<'_> {
+        Iter(TreeIter::new(&self.root))
     }
 
     /// The union of two maps: `self`'s entries with `over`'s inserted
@@ -479,7 +142,9 @@ impl StateMap {
     /// |self|.
     pub fn union(&self, over: &StateMap) -> StateMap {
         let mut out = self.clone();
-        out.extend_shared(over);
+        for entry in TreeIter::new(&over.root) {
+            out.insert_entry(entry.clone());
+        }
         out
     }
 
@@ -489,19 +154,25 @@ impl StateMap {
             .map(|(k, v)| (k.to_string(), v.clone()))
             .collect()
     }
+}
 
-    #[cfg(not(feature = "btree-state"))]
-    fn extend_shared(&mut self, other: &StateMap) {
-        for (k, v) in other.iter_shared() {
-            self.insert_shared(k.clone(), v.clone());
+impl Clone for StateMap {
+    fn clone(&self) -> Self {
+        clone_shared().inc();
+        StateMap {
+            root: self.root.clone(),
         }
     }
+}
 
-    #[cfg(feature = "btree-state")]
-    fn extend_shared(&mut self, other: &StateMap) {
-        for (k, v) in other.iter() {
-            self.insert(k, v.clone());
-        }
+/// In-order iterator over a [`StateMap`].
+pub struct Iter<'a>(TreeIter<'a, Entry>);
+
+impl<'a> Iterator for Iter<'a> {
+    type Item = (&'a str, &'a Value);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.0.next().map(|(k, v)| (k.as_ref(), v.as_ref()))
     }
 }
 
@@ -553,6 +224,8 @@ impl Env for StateMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::avl::check_avl;
+    use proptest::prelude::*;
 
     fn v(i: i64) -> Value {
         Value::from(i)
@@ -597,7 +270,6 @@ mod tests {
             m.insert(format!("k{i:02}"), v(i));
         }
         let snapshot = m.clone();
-        #[cfg(not(feature = "btree-state"))]
         assert!(snapshot.ptr_eq(&m));
         m.insert("k07", v(700));
         m.remove("k40");
@@ -622,7 +294,6 @@ mod tests {
             .collect();
         assert_eq!(a, b);
         let c = a.clone();
-        #[cfg(not(feature = "btree-state"))]
         assert!(c.ptr_eq(&a));
         assert_eq!(c, a);
         let mut d = a.clone();
@@ -698,6 +369,59 @@ mod tests {
         assert_eq!(m.len(), n / 2);
         for i in 0..n {
             assert_eq!(m.get(&format!("key{i:04}")).is_some(), i % 2 == 1);
+        }
+    }
+
+    /// One mutating entry point, over keys from a small pool so removes
+    /// and overwrites hit.
+    #[derive(Debug, Clone)]
+    enum Step {
+        Insert(u8, i64),
+        Remove(u8),
+        Union(Vec<(u8, i64)>),
+        Extend(Vec<(u8, i64)>),
+    }
+
+    fn entries(pairs: &[(u8, i64)]) -> Vec<(String, Value)> {
+        pairs
+            .iter()
+            .map(|(k, x)| (format!("k{k:02}"), v(*x)))
+            .collect()
+    }
+
+    fn arb_step() -> impl Strategy<Value = Step> {
+        let pairs = || proptest::collection::vec((0u8..24, any::<i64>()), 0..8);
+        prop_oneof![
+            (0u8..24, any::<i64>()).prop_map(|(k, x)| Step::Insert(k, x)),
+            (0u8..24).prop_map(Step::Remove),
+            pairs().prop_map(Step::Union),
+            pairs().prop_map(Step::Extend),
+        ]
+    }
+
+    proptest! {
+        /// After every operation the tree is AVL-balanced and each
+        /// node's stored height and size are right; `len` reads the
+        /// root's size, so it must equal the number of entries iterated.
+        #[test]
+        fn every_operation_keeps_the_tree_balanced(script in proptest::collection::vec(arb_step(), 0..80)) {
+            let mut m = StateMap::new();
+            for step in script {
+                match step {
+                    Step::Insert(k, x) => m.insert(format!("k{k:02}"), v(x)),
+                    Step::Remove(k) => {
+                        m.remove(&format!("k{k:02}"));
+                    }
+                    Step::Union(pairs) => {
+                        let over: StateMap = entries(&pairs).into_iter().collect();
+                        check_avl(&over.root);
+                        m = m.union(&over);
+                    }
+                    Step::Extend(pairs) => m.extend(entries(&pairs)),
+                }
+                check_avl(&m.root);
+                prop_assert_eq!(m.len(), m.iter().count());
+            }
         }
     }
 }

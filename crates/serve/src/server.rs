@@ -455,8 +455,11 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Fatal poller/listener failures only; per-connection errors just
-    /// drop that connection.
+    /// Fatal poller/listener failures, and on a primary a final close
+    /// that failed (the error names every such world, so a durable
+    /// `troll serve` whose log or last snapshot did not reach the disk
+    /// exits non-zero). Per-connection errors just drop that
+    /// connection.
     pub fn run(self) -> io::Result<ServeSummary> {
         let Server {
             listener,
@@ -627,8 +630,9 @@ impl Server {
         // a follower's tail may still be applying; it closes the stores
         // itself once it has stopped (`Replica::close`)
         if let Role::Primary = shared.role {
-            for e in close_stores(&shared) {
-                eprintln!("troll-serve: {e}");
+            let failures = close_stores(&shared);
+            if !failures.is_empty() {
+                return Err(io::Error::other(failures.join("; ")));
             }
         }
 

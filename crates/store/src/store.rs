@@ -13,8 +13,8 @@ use crate::snapshot::{
     load_latest_snapshot, read_snapshot, snapshot_from_bytes, snapshot_paths, write_snapshot,
 };
 use crate::wal::{
-    read_record_frames, scan_wal, segment_first_seq, segment_paths, ShippedFrames, Wal, WalTail,
-    WAL_MAGIC,
+    read_record_frames, scan_wal, segment_first_seq, segment_paths, ShippedFrames, Wal, WalScan,
+    WalTail, WAL_MAGIC,
 };
 use crate::{StoreCounters, StoreError, StoreOptions};
 
@@ -69,6 +69,12 @@ fn build_model(spec: &str) -> Result<troll_lang::SystemModel, StoreError> {
 /// or a logged step no longer replays (all of which mean the store and
 /// the engine disagree — there is no safe world to return).
 pub fn recover(dir: &Path) -> Result<(ObjectBase, RecoveryInfo), StoreError> {
+    recover_scanned(dir).map(|(base, info, _)| (base, info))
+}
+
+/// [`recover`], also handing back the WAL scan it replayed (so
+/// [`open_world`] reopens the log without reading it a second time).
+fn recover_scanned(dir: &Path) -> Result<(ObjectBase, RecoveryInfo, WalScan), StoreError> {
     let spec = read_spec(dir)?;
     let model = build_model(&spec)?;
     let snapshot = load_latest_snapshot(dir)?;
@@ -123,7 +129,34 @@ pub fn recover(dir: &Path) -> Result<(ObjectBase, RecoveryInfo), StoreError> {
             truncated_bytes,
             next_seq,
         },
+        scan,
     ))
+}
+
+/// Intact WAL records at or past `cursor` (a snapshot's), and their
+/// framed bytes — frame sizes fall out of consecutive end offsets
+/// within each segment.
+fn records_past(scan: &WalScan, cursor: u64) -> (u64, u64) {
+    let mut records = 0u64;
+    let mut bytes = 0u64;
+    let mut prev: Option<(&Path, u64)> = None;
+    for rec in &scan.records {
+        let start = match prev {
+            Some((seg, end)) if seg == rec.segment.as_path() => end,
+            _ => WAL_MAGIC.len() as u64,
+        };
+        if rec.seq >= cursor {
+            records += 1;
+            bytes += rec.end_offset - start;
+        }
+        prev = Some((rec.segment.as_path(), rec.end_offset));
+    }
+    (records, bytes)
+}
+
+/// A copy of a latched write error (`io::Error` is not `Clone`).
+fn latched(e: &std::io::Error) -> StoreError {
+    StoreError::Io(std::io::Error::new(e.kind(), e.to_string()))
 }
 
 /// What [`Store::compact`] did.
@@ -261,7 +294,7 @@ impl Store {
     /// must not claim durability the disk refused.
     pub fn sync_for_ack(&mut self) -> Result<bool, StoreError> {
         if let Some(e) = &self.write_error {
-            return Err(StoreError::Io(std::io::Error::new(e.kind(), e.to_string())));
+            return Err(latched(e));
         }
         if !self.wal.is_dirty() {
             return Ok(false);
@@ -269,9 +302,9 @@ impl Store {
         match self.wal.sync() {
             Ok(()) => Ok(true),
             Err(e) => {
-                let copy = std::io::Error::new(e.kind(), e.to_string());
+                let err = latched(&e);
                 self.write_error = Some(e);
-                Err(StoreError::Io(copy))
+                Err(err)
             }
         }
     }
@@ -307,7 +340,7 @@ impl Store {
     /// point).
     pub fn compact(&mut self, base: &ObjectBase) -> Result<CompactionReport, StoreError> {
         if let Some(e) = &self.write_error {
-            return Err(StoreError::Io(std::io::Error::new(e.kind(), e.to_string())));
+            return Err(latched(e));
         }
         // log before snapshot, same ordering rule as the periodic path
         self.wal.sync()?;
@@ -440,25 +473,11 @@ pub fn open_world(
         f.sync_all()?;
         fs::File::open(dir)?.sync_all()?;
     }
-    let (base, info) = recover(dir)?;
-    let scan = scan_wal(dir)?; // rescanned so Wal::open sees the tail to truncate
+    let (base, info, scan) = recover_scanned(dir)?;
     let counters = StoreCounters::new(base.metrics());
     // compaction pressure inherited from the previous run: intact WAL
-    // bytes past the newest snapshot cursor (frame sizes fall out of
-    // consecutive end offsets within each segment)
-    let cursor = info.snapshot_seq.unwrap_or(0);
-    let mut backlog_bytes = 0u64;
-    let mut prev: Option<(&Path, u64)> = None;
-    for rec in &scan.records {
-        let start = match prev {
-            Some((seg, end)) if seg == rec.segment.as_path() => end,
-            _ => WAL_MAGIC.len() as u64,
-        };
-        if rec.seq >= cursor {
-            backlog_bytes += rec.end_offset - start;
-        }
-        prev = Some((rec.segment.as_path(), rec.end_offset));
-    }
+    // bytes past the newest snapshot cursor
+    let (_, backlog_bytes) = records_past(&scan, info.snapshot_seq.unwrap_or(0));
     // append at the *recovered* cursor — a snapshot may be newer than
     // the surviving log, and writing below its cursor would be lost
     let wal = Wal::open(
@@ -515,20 +534,7 @@ pub fn compact_plan(dir: &Path) -> Result<CompactPlan, StoreError> {
     }
     let scan = scan_wal(dir)?;
     let cursor = snapshot_seq.unwrap_or(0);
-    let mut records_since = 0u64;
-    let mut bytes_since = 0u64;
-    let mut prev: Option<(&Path, u64)> = None;
-    for rec in &scan.records {
-        let start = match prev {
-            Some((seg, end)) if seg == rec.segment.as_path() => end,
-            _ => WAL_MAGIC.len() as u64,
-        };
-        if rec.seq >= cursor {
-            records_since += 1;
-            bytes_since += rec.end_offset - start;
-        }
-        prev = Some((rec.segment.as_path(), rec.end_offset));
-    }
+    let (records_since, bytes_since) = records_past(&scan, cursor);
     let mut prunable_segments = 0;
     let mut prunable_bytes = 0u64;
     if snapshot_seq.is_some() {

@@ -10,12 +10,11 @@
 //!
 //! The budgets hold for the shipped engine: bytecode rules
 //! (`Lowering::Delta`, what `ObjectBase::new` builds) over structurally
-//! shared state. The `btree-state` oracle build copies by design; there
-//! the steps still run, unbudgeted.
+//! shared state, the only representation `StateMap` has.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use troll::data::{Date, ObjectId, StateMap, Value};
+use troll::data::{Date, ObjectId, Value};
 use troll::runtime::ObjectBase;
 use troll::script::run_command;
 
@@ -96,14 +95,6 @@ fn mean(total: u64) -> f64 {
     total as f64 / COUNTED as f64
 }
 
-/// Whether this build shares state structurally, not the `btree-state`
-/// oracle build.
-fn shipped_engine() -> bool {
-    let mut state = StateMap::new();
-    state.insert("x", Value::Int(0));
-    state.clone().ptr_eq(&state)
-}
-
 /// `fire(P)` checks its permission through the sliced monitor and
 /// removes one identity from the persistent member set.
 #[test]
@@ -123,7 +114,7 @@ fn fire_stays_within_its_allocation_budget() {
     let per_step = mean(total);
     eprintln!("allocations per execute(fire): {per_step:.1}");
     assert!(
-        !shipped_engine() || per_step <= BUDGET,
+        per_step <= BUDGET,
         "execute(fire) made {per_step:.1} allocations per step, budget {BUDGET}"
     );
 }
@@ -147,7 +138,7 @@ fn hire_line_stays_within_its_allocation_budget() {
     let per_line = mean(total);
     eprintln!("allocations per hire line: {per_line:.1}");
     assert!(
-        !shipped_engine() || per_line <= BUDGET,
+        per_line <= BUDGET,
         "run_command(exec … hire) made {per_line:.1} allocations per line, budget {BUDGET}"
     );
 }

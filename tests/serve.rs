@@ -614,6 +614,13 @@ fn failed_wal_write_is_not_acknowledged() {
         Response::Ok(_)
     ));
     client.shutdown();
-    spawned.join.join().unwrap().unwrap();
+    // the final close cannot sync the log or write the last snapshot:
+    // `run` reports it instead of returning a summary
+    let err = spawned
+        .join
+        .join()
+        .unwrap()
+        .expect_err("a failed final close must fail `run`");
+    assert!(err.to_string().contains("closing world `w`"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -2,11 +2,9 @@
 //!
 //! The trace a run produces must be identical — step for step, state
 //! for state — whichever way the engine answers temporal checks
-//! (monitor cache on or off), and whichever map backs the state: these
-//! tests are compiled against both representations (`StateMap`'s
-//! persistent tree by default; the plain-`BTreeMap` oracle when the
-//! workspace is built with `--features troll-data/btree-state`, which
-//! CI does) and must pass unchanged under either.
+//! (monitor cache on or off). `StateMap` has one representation, the
+//! persistent tree; its contents are checked against `BTreeMap` by
+//! `troll-data`'s differential proptests.
 //!
 //! They also pin the property the persistent snapshots exist for:
 //! earlier trace steps keep observing their own historical state after
@@ -171,18 +169,8 @@ fn current_state_is_a_stable_snapshot() {
     );
 }
 
-/// Whether the compiled-in representation is the persistent tree (the
-/// `btree-state` oracle reports `ptr_eq = false` for non-empty clones,
-/// and the feature lives in `troll-data`, invisible to this package's
-/// `cfg`).
-fn persistent_repr() -> bool {
-    let m: StateMap = [("x".to_string(), Value::from(1))].into_iter().collect();
-    m.clone().ptr_eq(&m)
-}
-
 /// The hot path takes shared-root clones: after a run, the process-wide
-/// sharing counter must have moved. (Representation-specific: the
-/// BTreeMap oracle never shares, so there the assertion is skipped.)
+/// sharing counter must have moved.
 #[test]
 fn shared_clone_counter_is_nonzero_after_a_run() {
     let before = troll::obs::global().counter("state.clone_shared").get();
@@ -192,12 +180,8 @@ fn shared_clone_counter_is_nonzero_after_a_run() {
         ob.execute(&id, "bump", vec![]).unwrap();
     }
     let after = troll::obs::global().counter("state.clone_shared").get();
-    if persistent_repr() {
-        assert!(
-            after > before,
-            "expected shared-root clones on the execute path ({before} -> {after})"
-        );
-    } else {
-        assert_eq!(after, before, "the oracle representation never shares");
-    }
+    assert!(
+        after > before,
+        "expected shared-root clones on the execute path ({before} -> {after})"
+    );
 }
