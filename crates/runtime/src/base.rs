@@ -1389,7 +1389,7 @@ impl ObjectBase {
             } else {
                 w.state.clone()
             };
-            let mut updates: Vec<(String, Value)> = Vec::new();
+            let mut updates: Vec<(Arc<str>, Value)> = Vec::new();
             // Delta accounting: rules whose value applied incrementally
             // through delta ops vs delta-shaped rules that recomputed
             // in full (the oracle lowerings).
@@ -1431,7 +1431,7 @@ impl ObjectBase {
                     recomputed += 1;
                 }
                 let value = compiled.value.eval(&env)?;
-                updates.push((rule.attribute.clone(), value));
+                updates.push((Arc::clone(&compiled.attribute), value));
             }
             if !updates.is_empty() {
                 self.counters.valuation_updates.add(updates.len() as u64);

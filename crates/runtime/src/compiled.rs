@@ -17,6 +17,7 @@
 //! never which rules exist or where they sit.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use troll_lang::{ClassModel, EventTarget, LoweredCall, SystemModel};
 use troll_temporal::CompiledFormula;
@@ -27,6 +28,9 @@ use crate::env;
 /// A valuation rule's compiled guard and value.
 #[derive(Debug)]
 pub(crate) struct CompiledValuation {
+    /// The attribute the rule sets, as the shared key handle a state
+    /// update takes, so a step clones a pointer rather than the name.
+    pub(crate) attribute: Arc<str>,
     pub(crate) guard: Option<Compiled>,
     pub(crate) value: Compiled,
     /// Union of guard and value free variables.
@@ -99,6 +103,7 @@ impl CompiledClass {
                 .entry(rule.event.clone())
                 .or_default()
                 .push(CompiledValuation {
+                    attribute: Arc::from(rule.attribute.as_str()),
                     guard: rule.guard.clone().map(|g| Compiled::new(g, lowering)),
                     // delta-aware: `attr := insert(x, attr)`-shaped
                     // value terms lower to incremental collection

@@ -3,7 +3,7 @@
 //! A hand-rolled non-blocking TCP server (epoll on Linux, no external
 //! dependencies — see [`poll`]) speaking a newline-delimited JSON
 //! protocol ([`proto`]): `open`, `submit-event`, `query-attr`,
-//! `query-view`, `stats`, `shutdown`. A registry maps world ids to
+//! `query-view`, `stats`, `metrics`, `shutdown`. A registry maps world ids to
 //! engines; submissions multiplex onto a worker pool that runs each
 //! world's requests in arrival order on one worker at a time
 //! ([`server`]): script lines step the world through

@@ -13,8 +13,13 @@
 //! → {"op":"query-view","world":"w1","interface":"SAL_EMPLOYEE"}
 //! → {"op":"stats"}            -- server-wide counters
 //! → {"op":"stats","world":"w1"} -- steps, attempts, monitor cache, store
+//! → {"op":"metrics"}          -- the server registry, Prometheus text
 //! → {"op":"shutdown"}
 //! ```
+//!
+//! `metrics` answers `{"ok":true,"text":…}` whose text is the server's
+//! metrics registry (`serve.*`, and `repl.*` on a follower) in the
+//! Prometheus text exposition format, names prefixed `troll_`.
 //!
 //! `submit-event` lines use the animation script grammar
 //! (`troll_runtime::script`), and the `text` of a successful response
@@ -63,6 +68,8 @@ pub enum Request {
         /// Restrict to one world.
         world: Option<String>,
     },
+    /// The server's metrics registry in the Prometheus text format.
+    Metrics,
     /// Replication: fetch the TROLL spec source the server runs, so a
     /// follower can build identical worlds.
     ReplSpec,
@@ -142,6 +149,7 @@ impl Request {
                     Some(_) => Some(world(&v)?),
                 },
             }),
+            "metrics" => Ok(Request::Metrics),
             "repl-spec" => Ok(Request::ReplSpec),
             "repl-worlds" => Ok(Request::ReplWorlds),
             "repl-poll" => Ok(Request::ReplPoll {
@@ -189,6 +197,7 @@ impl Request {
                 }
                 fields
             }
+            Request::Metrics => vec![("op".to_string(), Json::Str("metrics".to_string()))],
             Request::ReplSpec => vec![("op".to_string(), Json::Str("repl-spec".to_string()))],
             Request::ReplWorlds => vec![("op".to_string(), Json::Str("repl-worlds".to_string()))],
             Request::ReplPoll { world, from } => vec![
@@ -312,6 +321,7 @@ mod tests {
             Request::Stats {
                 world: Some("a".to_string()),
             },
+            Request::Metrics,
             Request::ReplSpec,
             Request::ReplWorlds,
             Request::ReplPoll {

@@ -2,17 +2,24 @@
 //!
 //! One readiness loop ([`crate::poll::Poller`]) owns the listener and
 //! every connection; it parses request lines, answers global requests
-//! (`stats`, `shutdown`, parse errors) inline, and routes world-bound
-//! requests to a worker pool. Each world has a FIFO job queue guarded
-//! by a `scheduled` flag, so at most one worker drains a given world
-//! at a time — submissions to *different* worlds run concurrently,
-//! submissions to the *same* world keep their arrival order (which is
-//! what makes a served world byte-equal to a sequential `animate` run
-//! of the same lines). A `submit-event` line runs through
+//! (`stats`, `metrics`, `shutdown`, parse errors) inline, and routes
+//! world-bound requests to a worker pool. Each world has a FIFO job
+//! queue guarded by a `scheduled` flag, so at most one worker drains a
+//! given world at a time — submissions to *different* worlds run
+//! concurrently, submissions to the *same* world keep their arrival
+//! order (which is what makes a served world byte-equal to a sequential
+//! `animate` run of the same lines). A `submit-event` line runs through
 //! [`script::run_command`] under the world's write lock — the one step
 //! path `animate` takes; `query-attr`/`query-view` are answered under
 //! the read lock by [`script::query`]. Every world checks its
 //! permissions through the monitor cache, as `animate` and recovery do.
+//!
+//! A read of an *idle* world — nothing queued, no worker draining it,
+//! its lock free — is answered by the loop itself, with no hand-off to
+//! a worker and back. Only the loop enqueues, so a world it sees idle
+//! has run every job routed before the read: the inline answer is the
+//! one the queue would have given. A read of a busy world waits its
+//! turn in the queue as before.
 //!
 //! A log-shipping follower runs this same loop in a read-only role
 //! ([`Replica`]): its worlds sit in the same registry, built the same
@@ -119,8 +126,9 @@ pub struct ServeSummary {
     pub errors: u64,
     /// Worlds opened.
     pub worlds: u64,
-    /// End-to-end latency of world-routed requests (enqueue → response
-    /// ready), from the `serve.request_latency_ns` histogram.
+    /// End-to-end latency of world-routed requests (parse → response
+    /// ready, reads the loop answered inline included), from the
+    /// `serve.request_latency_ns` histogram.
     pub request_latency: HistogramSummary,
 }
 
@@ -140,6 +148,8 @@ struct ServeCounters {
     compactions: Counter,
     /// `repl-poll` requests served.
     repl_polls: Counter,
+    /// Reads of idle worlds the loop answered without the job queue.
+    inline_reads: Counter,
     request_latency: Histogram,
     /// The whole write-locked `run_command` of each request that
     /// committed at least one step.
@@ -159,6 +169,7 @@ impl ServeCounters {
             group_fsyncs: metrics.counter("serve.group_fsyncs"),
             compactions: metrics.counter("serve.compactions"),
             repl_polls: metrics.counter("serve.repl_polls"),
+            inline_reads: metrics.counter("serve.inline_reads"),
             request_latency: metrics.histogram("serve.request_latency_ns"),
             commit_latency: metrics.histogram("serve.commit_latency_ns"),
         }
@@ -266,6 +277,9 @@ enum Pending {
     Line(String),
     /// Server-wide `stats`, rendered lazily at flush time.
     GlobalStats,
+    /// The server registry in Prometheus text, rendered lazily at flush
+    /// time like [`Pending::GlobalStats`].
+    Metrics,
 }
 
 struct Shared {
@@ -707,14 +721,17 @@ impl Conn {
     }
 
     /// Moves in-order pending responses into the outbound buffer.
-    /// Global stats render *here* — once everything the connection
-    /// pipelined before the `stats` request has completed — so the
+    /// Global stats and metrics render *here* — once everything the
+    /// connection pipelined before the request has completed — so the
     /// counters reflect at least this connection's prior requests.
     fn flush_pending(&mut self, shared: &Shared) {
         while let Some(resp) = self.pending.remove(&self.next_flush) {
             let line = match resp {
                 Pending::Line(line) => line,
                 Pending::GlobalStats => Response::Ok(global_stats(shared)).to_json(),
+                Pending::Metrics => {
+                    Response::Ok(shared.metrics.render_prometheus("troll")).to_json()
+                }
             };
             self.outbuf.extend_from_slice(line.as_bytes());
             self.outbuf.push(b'\n');
@@ -796,8 +813,8 @@ fn read_ready(shared: &Arc<Shared>, conn: &mut Conn) -> bool {
 }
 
 /// Parses one request line and either answers it inline (errors,
-/// global stats, shutdown ack) or enqueues it on its world. Returns
-/// true for `shutdown`.
+/// global stats, metrics, shutdown ack, reads of an idle world) or
+/// enqueues it on its world. Returns true for `shutdown`.
 fn route_line(shared: &Arc<Shared>, conn: &mut Conn, line: &str) -> bool {
     let seq = conn.next_seq;
     conn.next_seq += 1;
@@ -823,6 +840,10 @@ fn route_line(shared: &Arc<Shared>, conn: &mut Conn, line: &str) -> bool {
         }
         Request::Stats { world: None } => {
             conn.pending.insert(seq, Pending::GlobalStats);
+            return false;
+        }
+        Request::Metrics => {
+            conn.pending.insert(seq, Pending::Metrics);
             return false;
         }
         Request::ReplSpec => {
@@ -877,6 +898,15 @@ fn route_line(shared: &Arc<Shared>, conn: &mut Conn, line: &str) -> bool {
             );
         }
         Some(entry) => {
+            if let Some(resp) = read_inline(shared, &entry, &req) {
+                shared.c.inline_reads.inc();
+                shared
+                    .c
+                    .request_latency
+                    .record_ns(t0.elapsed().as_nanos() as u64);
+                conn.pending.insert(seq, Pending::Line(resp.to_json()));
+                return false;
+            }
             shared.inflight.fetch_add(1, Ordering::Relaxed);
             enqueue(
                 shared,
@@ -891,6 +921,39 @@ fn route_line(shared: &Arc<Shared>, conn: &mut Conn, line: &str) -> bool {
         }
     }
     false
+}
+
+/// Answers a `query-attr`/`query-view` on the loop thread when its
+/// world is idle: the job queue is empty, no worker holds the world
+/// (`scheduled` is clear), and the world lock is free for reading.
+/// Only the loop enqueues, and a worker clears `scheduled` only after
+/// its last job has run and released the lock, so an idle world has
+/// applied every job routed before this read. `None` sends the read
+/// through the queue: the world is busy, or its lock is held by a
+/// follower's replay or a compaction.
+fn read_inline(shared: &Shared, entry: &WorldEntry, req: &Request) -> Option<Response> {
+    let query = read_query(req)?;
+    {
+        let jobs = entry.jobs.lock().expect("job queue");
+        if jobs.scheduled || !jobs.queue.is_empty() {
+            return None;
+        }
+    }
+    let slot = entry.world.try_read().ok()?;
+    Some(answer_query(shared, entry, &slot, query))
+}
+
+/// The [`Query`] a `query-attr`/`query-view` request asks; `None` for
+/// every other request.
+fn read_query(req: &Request) -> Option<Query<'_>> {
+    match req {
+        Request::QueryAttr { id, attr, .. } => Some(Query::Attr {
+            id,
+            attribute: attr,
+        }),
+        Request::QueryView { interface, .. } => Some(Query::View { interface }),
+        _ => None,
+    }
 }
 
 /// Appends a job to its world's queue and puts the world on the ready
@@ -931,18 +994,13 @@ fn worker_loop(shared: &Arc<Shared>) {
                 ready = shared.ready_cv.wait(ready).expect("ready list");
             }
         };
-        loop {
-            let job = {
-                let mut jobs = entry.jobs.lock().expect("job queue");
-                match jobs.queue.pop_front() {
-                    Some(job) => job,
-                    None => {
-                        jobs.scheduled = false;
-                        break;
-                    }
-                }
-            };
+        let mut next = next_job(&entry);
+        while let Some(job) = next {
             let Processed { resp, defer } = process(shared, &entry, job.req);
+            // take the next job, or mark the world idle, before answering:
+            // a client holding its answer then finds the world idle, and
+            // its next read can be answered by the loop
+            next = next_job(&entry);
             if let (Some(group), Some((store, step_seq))) = (&shared.group, defer) {
                 // success is only claimed once the covering fsync lands
                 shared.c.deferred_acks.inc();
@@ -977,6 +1035,17 @@ fn worker_loop(shared: &Arc<Shared>) {
             shared.wake();
         }
     }
+}
+
+/// Pops a world's next job; when there is none, clears `scheduled` in
+/// the same critical section, handing the world back to the loop.
+fn next_job(entry: &WorldEntry) -> Option<Job> {
+    let mut jobs = entry.jobs.lock().expect("job queue");
+    let job = jobs.queue.pop_front();
+    if job.is_none() {
+        jobs.scheduled = false;
+    }
+    job
 }
 
 fn not_open(shared: &Shared, name: &str) -> Response {
@@ -1017,23 +1086,11 @@ fn process(shared: &Shared, entry: &WorldEntry, req: Request) -> Processed {
             Response::Ok(format!("opened {}", entry.name)).into()
         }
         Request::SubmitEvent { line, .. } => submit(shared, entry, &line),
-        Request::QueryAttr { id, attr, .. } => query(
-            shared,
-            entry,
-            Query::Attr {
-                id: &id,
-                attribute: &attr,
-            },
-        )
-        .into(),
-        Request::QueryView { interface, .. } => query(
-            shared,
-            entry,
-            Query::View {
-                interface: &interface,
-            },
-        )
-        .into(),
+        Request::QueryAttr { .. } | Request::QueryView { .. } => {
+            let query = read_query(&req).expect("a read request");
+            let slot = entry.world.read().expect("world lock");
+            answer_query(shared, entry, &slot, query).into()
+        }
         Request::Stats { .. } => {
             let slot = entry.world.read().expect("world lock");
             match slot.as_ref() {
@@ -1066,7 +1123,7 @@ fn process(shared: &Shared, entry: &WorldEntry, req: Request) -> Processed {
         }
         Request::ReplPoll { from, .. } => repl_poll(shared, entry, from).into(),
         // the loop answers these inline; they never reach a worker
-        Request::Shutdown | Request::ReplSpec | Request::ReplWorlds => {
+        Request::Shutdown | Request::ReplSpec | Request::ReplWorlds | Request::Metrics => {
             Response::Err("handled by the loop".to_string()).into()
         }
     }
@@ -1127,12 +1184,18 @@ fn repl_poll(shared: &Shared, entry: &WorldEntry, from: u64) -> Response {
     }
 }
 
-/// Answers a `query-attr`/`query-view` under the world's read lock
+/// Answers a `query-attr`/`query-view` from a read-locked world slot
 /// through [`script::query`], the read path `animate`'s `show`/`view`
-/// share. Reads still wait their turn in the world's FIFO queue, so
-/// they observe every earlier submission.
-fn query(shared: &Shared, entry: &WorldEntry, query: Query<'_>) -> Response {
-    let slot = entry.world.read().expect("world lock");
+/// share. The loop calls it for a read of an idle world
+/// ([`read_inline`]); a read of a busy world waits its turn in the
+/// world's FIFO queue and a worker calls it. Either way the read
+/// observes every earlier submission to the world.
+fn answer_query(
+    shared: &Shared,
+    entry: &WorldEntry,
+    slot: &Option<WorldState>,
+    query: Query<'_>,
+) -> Response {
     let Some(state) = slot.as_ref() else {
         return not_open(shared, &entry.name);
     };
@@ -1385,7 +1448,7 @@ fn global_stats(shared: &Shared) -> String {
     let c = &shared.c;
     let lat = c.request_latency.summary();
     let mut text = format!(
-        "worlds={} requests={} events={} commits={} conflicts={} errors={} request_p50_ns={} request_p99_ns={}",
+        "worlds={} requests={} events={} commits={} conflicts={} errors={} request_p50_ns={} request_p99_ns={} inline_reads={}",
         c.worlds.get(),
         c.requests.get(),
         c.events.get(),
@@ -1394,6 +1457,7 @@ fn global_stats(shared: &Shared) -> String {
         c.errors.get(),
         lat.p50_ns,
         lat.p99_ns,
+        c.inline_reads.get(),
     );
     if let Role::Follower(r) = &shared.role {
         text.push_str(&format!(

@@ -32,6 +32,7 @@ fn arb_request() -> BoxedStrategy<Request> {
             .prop_map(|(world, interface)| Request::QueryView { world, interface }),
         Just(Request::Stats { world: None }),
         arb_world().prop_map(|world| Request::Stats { world: Some(world) }),
+        Just(Request::Metrics),
         Just(Request::Shutdown),
     ]
     .prop_boxed()

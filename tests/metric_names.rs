@@ -84,6 +84,7 @@ const SERVE_COUNTERS: &[&str] = &[
     "serve.errors",
     "serve.events",
     "serve.group_fsyncs",
+    "serve.inline_reads",
     "serve.repl_polls",
     "serve.requests",
     "serve.worlds",
