@@ -356,6 +356,19 @@ fn follower_serves_reads_and_refuses_writes() {
         }
         other => panic!("stats failed: {other:?}"),
     }
+    // `metrics` renders the follower's registry: the served-read
+    // counters beside the replication ones
+    match ro.round_trip(&Request::Metrics) {
+        Response::Ok(text) => {
+            for name in ["troll_repl_polls", "troll_serve_inline_reads"] {
+                assert!(
+                    text.contains(&format!("\n{name} ")),
+                    "{name} missing: {text}"
+                );
+            }
+        }
+        other => panic!("metrics failed: {other:?}"),
+    }
 
     // shutdown on the read-only port stops the whole follower
     ro.shutdown();
