@@ -65,6 +65,7 @@
 pub mod ast;
 pub mod graph;
 mod lexer;
+mod literal;
 mod lower;
 mod model;
 mod parser;
@@ -72,6 +73,7 @@ pub mod pretty;
 mod token;
 
 pub use lexer::lex;
+pub use literal::{read_literal, read_literals};
 pub use lower::analyze;
 pub use model::{
     CallRule, ClassModel, ComponentModel, ConstraintKind, ConstraintModel, DerivationModel,

@@ -69,7 +69,8 @@ mod warn;
 
 pub use event::{CheckPath, ObsEvent};
 pub use metrics::{
-    global, json_str, Counter, Histogram, HistogramSummary, Metrics, MetricsSnapshot,
+    global, json_str, write_json_str, Counter, Histogram, HistogramSummary, Metrics,
+    MetricsSnapshot,
 };
 pub use observer::{NoopObserver, Observer};
 pub use profile::{phase_table, Phase, PhaseGuard, StepProfiler, PHASES};

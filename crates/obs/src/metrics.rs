@@ -328,6 +328,13 @@ impl MetricsSnapshot {
 /// stats snapshots, the serve wire protocol).
 pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    write_json_str(&mut out, s);
+    out
+}
+
+/// Appends [`json_str`]`(s)` to `out` without a string of its own.
+pub fn write_json_str(out: &mut String, s: &str) {
+    use std::fmt::Write;
     out.push('"');
     for c in s.chars() {
         match c {
@@ -336,12 +343,13 @@ pub fn json_str(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
     out.push('"');
-    out
 }
 
 /// The process-wide registry, for instrumentation points that have no

@@ -13,6 +13,22 @@
 //! obligations |CLASS|(key…)
 //! tick
 //! ```
+//!
+//! Identities and arguments are first offered to the ground-literal
+//! reader ([`troll_lang::read_literal`]), which turns these forms into
+//! values in one pass over the text:
+//!
+//! * identities `|CLASS|(k…)` with literal keys;
+//! * strings `"…"` / `'…'`;
+//! * integers (`-7` too) and money (`12.5`, `-3.25`);
+//! * `true` / `false` and `date(y, m, d)`;
+//! * lists `[…]` and sets `{…}` of these.
+//!
+//! Anything else — a variable, an operator, another function, an
+//! invalid date — the reader declines, and the text goes through
+//! [`troll_lang::parse_term`] and evaluation, which answer it or name
+//! the error. Each such argument adds one to the object base's
+//! `script.literal_fallbacks` counter.
 
 use crate::ObjectBase;
 use std::collections::BTreeMap;
@@ -101,43 +117,43 @@ pub fn run_script(ob: &mut ObjectBase, script: &str) -> Result<Vec<Outcome>, Str
 /// Returns a human-readable message on parse or execution failure.
 pub fn run_command(ob: &mut ObjectBase, line: &str) -> Result<Outcome, String> {
     let tokens = split_top_level(line);
-    match tokens.first().map(String::as_str) {
+    match tokens.first().copied() {
         Some("birth") if tokens.len() == 5 => {
-            let key = parse_term_list(&tokens[2])?;
-            let args = parse_term_list(&tokens[4])?;
+            let key = parse_term_list(ob, tokens[2])?;
+            let args = parse_term_list(ob, tokens[4])?;
             let id = ob
-                .birth(&tokens[1], key, &tokens[3], args)
+                .birth(tokens[1], key, tokens[3], args)
                 .map_err(|e| e.to_string())?;
             Ok(Outcome::Born(id))
         }
         Some("exec") if tokens.len() == 4 => {
-            let id = parse_identity(&tokens[1])?;
-            let args = parse_term_list(&tokens[3])?;
+            let id = parse_identity(ob, tokens[1])?;
+            let args = parse_term_list(ob, tokens[3])?;
             let report = ob
-                .execute(&id, &tokens[2], args)
+                .execute(&id, tokens[2], args)
                 .map_err(|e| e.to_string())?;
             Ok(Outcome::Executed(report.occurrences.len()))
         }
         Some("show") if tokens.len() == 3 => query(
             ob,
             Query::Attr {
-                id: &tokens[1],
-                attribute: &tokens[2],
+                id: tokens[1],
+                attribute: tokens[2],
             },
         ),
         Some("view") if tokens.len() == 2 => query(
             ob,
             Query::View {
-                interface: &tokens[1],
+                interface: tokens[1],
             },
         ),
         Some("call") if tokens.len() == 5 => {
-            let interface = tokens[1].clone();
-            let id = parse_identity(&tokens[2])?;
-            let args = parse_term_list(&tokens[4])?;
+            let interface = tokens[1];
+            let id = parse_identity(ob, tokens[2])?;
+            let args = parse_term_list(ob, tokens[4])?;
             let iface = ob
                 .model()
-                .interface(&interface)
+                .interface(interface)
                 .ok_or_else(|| format!("unknown interface `{interface}`"))?;
             let var = iface
                 .bases
@@ -146,12 +162,12 @@ pub fn run_command(ob: &mut ObjectBase, line: &str) -> Result<Outcome, String> {
                 .ok_or("interface has no base")?;
             let bindings: BTreeMap<String, ObjectId> = [(var, id)].into();
             let report = ob
-                .view_call(&interface, &bindings, &tokens[3], args)
+                .view_call(interface, &bindings, tokens[3], args)
                 .map_err(|e| e.to_string())?;
             Ok(Outcome::Executed(report.occurrences.len()))
         }
         Some("obligations") if tokens.len() == 2 => {
-            let id = parse_identity(&tokens[1])?;
+            let id = parse_identity(ob, tokens[1])?;
             let status = ob.check_obligations(&id).map_err(|e| e.to_string())?;
             Ok(Outcome::Obligations(status))
         }
@@ -192,7 +208,7 @@ pub enum Query<'a> {
 pub fn query(ob: &ObjectBase, query: Query<'_>) -> Result<Outcome, String> {
     match query {
         Query::Attr { id, attribute } => {
-            let id = parse_identity(id)?;
+            let id = parse_identity(ob, id)?;
             let value = ob.attribute(&id, attribute).map_err(|e| e.to_string())?;
             Ok(Outcome::Observation {
                 id,
@@ -222,50 +238,50 @@ pub fn query(ob: &ObjectBase, query: Query<'_>) -> Result<Outcome, String> {
 }
 
 /// Splits a line into top-level tokens: whitespace separates, but
-/// parentheses/brackets/braces/quotes group.
-fn split_top_level(line: &str) -> Vec<String> {
+/// parentheses/brackets/braces/quotes group. Tokens are slices of `line`.
+fn split_top_level(line: &str) -> Vec<&str> {
     let mut tokens = Vec::new();
-    let mut current = String::new();
+    let mut start: Option<usize> = None;
     let mut depth = 0usize;
     let mut quote: Option<char> = None;
-    for c in line.chars() {
+    for (i, c) in line.char_indices() {
         match quote {
             Some(q) => {
-                current.push(c);
                 if c == q {
                     quote = None;
                 }
             }
             None => match c {
-                '"' | '\'' => {
-                    current.push(c);
-                    quote = Some(c);
-                }
-                '(' | '[' | '{' => {
-                    depth += 1;
-                    current.push(c);
-                }
-                ')' | ']' | '}' => {
-                    depth = depth.saturating_sub(1);
-                    current.push(c);
-                }
+                '"' | '\'' => quote = Some(c),
+                '(' | '[' | '{' => depth += 1,
+                ')' | ']' | '}' => depth = depth.saturating_sub(1),
                 c if c.is_whitespace() && depth == 0 => {
-                    if !current.is_empty() {
-                        tokens.push(std::mem::take(&mut current));
+                    if let Some(s) = start.take() {
+                        tokens.push(&line[s..i]);
                     }
+                    continue;
                 }
-                c => current.push(c),
+                _ => {}
             },
         }
+        start.get_or_insert(i);
     }
-    if !current.is_empty() {
-        tokens.push(current);
+    if let Some(s) = start {
+        tokens.push(&line[s..]);
     }
     tokens
 }
 
-/// Parses `(t1, t2, …)` into evaluated values; `()` is empty.
-fn parse_term_list(group: &str) -> Result<Vec<Value>, String> {
+/// Counts one argument the literal reader declined, which then went to
+/// the parser and evaluator. Registered on first use, so a run whose
+/// arguments are all literals shows no such counter.
+fn literal_fallback(ob: &ObjectBase) {
+    ob.metrics().counter("script.literal_fallbacks").inc();
+}
+
+/// Reads `(t1, t2, …)` into values; `()` is empty. Ground literals are
+/// read directly; anything else is parsed and evaluated.
+fn parse_term_list(ob: &ObjectBase, group: &str) -> Result<Vec<Value>, String> {
     let inner = group
         .strip_prefix('(')
         .and_then(|s| s.strip_suffix(')'))
@@ -273,6 +289,10 @@ fn parse_term_list(group: &str) -> Result<Vec<Value>, String> {
     if inner.trim().is_empty() {
         return Ok(vec![]);
     }
+    if let Some(values) = troll_lang::read_literals(inner) {
+        return Ok(values);
+    }
+    literal_fallback(ob);
     let term = troll_lang::parse_term(&format!("[{inner}]")).map_err(|e| e.to_string())?;
     match term.eval(&MapEnv::new()).map_err(|e| e.to_string())? {
         Value::List(items) => Ok(items.into_iter().collect()),
@@ -280,8 +300,13 @@ fn parse_term_list(group: &str) -> Result<Vec<Value>, String> {
     }
 }
 
-/// Parses and evaluates an identity literal `|CLASS|(key…)`.
-fn parse_identity(text: &str) -> Result<ObjectId, String> {
+/// Reads an identity literal `|CLASS|(key…)`: directly when its keys
+/// are ground literals, else by parsing and evaluating it.
+fn parse_identity(ob: &ObjectBase, text: &str) -> Result<ObjectId, String> {
+    if let Some(Value::Id(id)) = troll_lang::read_literal(text) {
+        return Ok(id);
+    }
+    literal_fallback(ob);
     let term = troll_lang::parse_term(text).map_err(|e| e.to_string())?;
     match term.eval(&MapEnv::new()).map_err(|e| e.to_string())? {
         Value::Id(id) => Ok(id),
@@ -316,14 +341,10 @@ mod tests {
     fn splitter_respects_nesting_and_quotes() {
         assert_eq!(
             split_top_level(r#"exec |DEPT|("a b") hire (|P|("x", [1, 2]))"#),
-            vec![
-                "exec".to_string(),
-                r#"|DEPT|("a b")"#.to_string(),
-                "hire".to_string(),
-                r#"(|P|("x", [1, 2]))"#.to_string(),
-            ]
+            vec!["exec", r#"|DEPT|("a b")"#, "hire", r#"(|P|("x", [1, 2]))"#,]
         );
         assert!(split_top_level("").is_empty());
+        assert_eq!(split_top_level("  tick \t"), vec!["tick"]);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! strict parser — for the server's request lines. The value model is
 //! deliberately small: the protocol needs objects, arrays, strings,
 //! 64-bit integers, booleans and `null`. Serialization reuses
-//! [`troll_obs::json_str`] so every JSON writer in the workspace shares
-//! one escaping rule.
+//! [`troll_obs::write_json_str`] so every JSON writer in the workspace
+//! shares one escaping rule.
 //!
 //! The parser is strict where it matters for a network frontend: no
 //! trailing garbage, no unterminated strings, no bare control
@@ -15,7 +15,7 @@
 //! protocol never uses them, and silently truncating one would corrupt
 //! a request).
 
-use troll_obs::json_str;
+use troll_obs::write_json_str;
 
 /// Maximum nesting depth the parser accepts.
 const MAX_DEPTH: usize = 32;
@@ -74,8 +74,11 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => out.push_str(&n.to_string()),
-            Json::Str(s) => out.push_str(&json_str(s)),
+            Json::Num(n) => {
+                use std::fmt::Write;
+                let _ = write!(out, "{n}");
+            }
+            Json::Str(s) => write_json_str(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -92,7 +95,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(&json_str(k));
+                    write_json_str(out, k);
                     out.push(':');
                     v.write(out);
                 }

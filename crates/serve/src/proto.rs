@@ -28,6 +28,7 @@
 //! observationally a remote `animate`.
 
 use crate::json::{parse, Json};
+use troll_obs::write_json_str;
 
 /// Maximum accepted request line length (bytes, excluding newline).
 pub const MAX_LINE: usize = 1 << 20;
@@ -254,19 +255,19 @@ pub enum Response {
 }
 
 impl Response {
-    /// Serializes as one JSON line (no trailing newline).
+    /// Serializes as one JSON line (no trailing newline):
+    /// `{"ok":true,"text":…}` or `{"ok":false,"error":…}`, written
+    /// straight into one string.
     pub fn to_json(&self) -> String {
-        let obj = match self {
-            Response::Ok(text) => vec![
-                ("ok".to_string(), Json::Bool(true)),
-                ("text".to_string(), Json::Str(text.clone())),
-            ],
-            Response::Err(error) => vec![
-                ("ok".to_string(), Json::Bool(false)),
-                ("error".to_string(), Json::Str(error.clone())),
-            ],
+        let (head, body) = match self {
+            Response::Ok(text) => ("{\"ok\":true,\"text\":", text),
+            Response::Err(error) => ("{\"ok\":false,\"error\":", error),
         };
-        Json::Obj(obj).to_json()
+        let mut out = String::with_capacity(head.len() + body.len() + 3);
+        out.push_str(head);
+        write_json_str(&mut out, body);
+        out.push('}');
+        out
     }
 
     /// Parses a response line (the client half).

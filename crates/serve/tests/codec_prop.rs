@@ -1,5 +1,6 @@
 //! Property tests of the wire codec: every request/response the client
-//! half can emit parses back to the same value (round-trip), the JSON
+//! half can emit parses back to the same value (round-trip), a response
+//! line is the bytes the generic JSON writer gives its fields, the JSON
 //! layer round-trips arbitrary strings (escaping, non-ASCII), and
 //! arbitrary garbage never panics the parser — it errors or, when it
 //! happens to be valid JSON, parses without crashing.
@@ -18,6 +19,9 @@ fn arb_world() -> impl Strategy<Value = String> {
 fn arb_text() -> impl Strategy<Value = String> {
     "\\PC{0,40}"
 }
+
+/// Characters `\PC` leaves out that JSON must escape.
+const CONTROL: &[char] = &['\n', '\r', '\t', '\u{1}', '\u{1f}', '\u{0}'];
 
 fn arb_request() -> BoxedStrategy<Request> {
     prop_oneof![
@@ -59,6 +63,27 @@ proptest! {
         let line = resp.to_json();
         prop_assert!(!line.contains('\n'), "one response per line: {line:?}");
         prop_assert_eq!(Response::parse(&line).expect("round-trip"), resp);
+    }
+
+    /// A response line is byte-for-byte the generic `Json` object
+    /// rendering of the same fields.
+    #[test]
+    fn responses_write_the_generic_object_bytes(
+        (text, special, ok) in (arb_text(), proptest::collection::vec(0..CONTROL.len(), 0..6), any::<bool>())
+    ) {
+        let text: String = text.chars().chain(special.into_iter().map(|i| CONTROL[i])).collect();
+        let resp = if ok { Response::Ok(text) } else { Response::Err(text) };
+        let fields = match &resp {
+            Response::Ok(text) => vec![
+                ("ok".to_string(), Json::Bool(true)),
+                ("text".to_string(), Json::Str(text.clone())),
+            ],
+            Response::Err(error) => vec![
+                ("ok".to_string(), Json::Bool(false)),
+                ("error".to_string(), Json::Str(error.clone())),
+            ],
+        };
+        prop_assert_eq!(resp.to_json(), Json::Obj(fields).to_json());
     }
 
     /// The JSON string codec survives every character shape the

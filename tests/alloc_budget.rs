@@ -1,4 +1,5 @@
-//! Allocation budgets of a steady-state step on a wide department.
+//! Allocation budgets of a steady-state step, and of whole script
+//! lines, on a wide department.
 //!
 //! A counting global allocator tallies the allocations the current
 //! thread makes, so tests running in parallel do not see each other's.
@@ -120,27 +121,66 @@ fn fire_stays_within_its_allocation_budget() {
     );
 }
 
-/// A whole `exec … hire` script line: parsing the line and the step.
-#[test]
-fn hire_line_stays_within_its_allocation_budget() {
-    // measured 117.6
-    const BUDGET: f64 = 135.0;
-    let (mut ob, _) = department(MEMBERS);
-    let line = |i: usize| format!("exec |DEPT|(\"Toys\") hire (|PERSON|(\"q{i}\"))");
-    for i in MEMBERS..MEMBERS + WARM {
-        run_command(&mut ob, &line(i)).unwrap();
+/// Mean allocations per `run_command` over `COUNTED` lines, after
+/// `WARM` lines of the same shape; `line(i)` is the `i`-th line.
+fn per_line(ob: &mut ObjectBase, first: usize, line: impl Fn(usize) -> String) -> f64 {
+    for i in first..first + WARM {
+        run_command(ob, &line(i)).unwrap();
     }
     let mut total = 0;
-    for i in MEMBERS + WARM..MEMBERS + WARM + COUNTED {
+    for i in first + WARM..first + WARM + COUNTED {
         let line = line(i);
         total += allocations(|| {
-            run_command(&mut ob, &line).unwrap();
+            run_command(ob, &line).unwrap();
         });
     }
-    let per_line = mean(total);
+    mean(total)
+}
+
+/// A whole `exec … hire` script line: reading the line and the step.
+#[test]
+fn hire_line_stays_within_its_allocation_budget() {
+    // measured 69.6
+    const BUDGET: f64 = 83.0;
+    let (mut ob, _) = department(MEMBERS);
+    let per_line = per_line(&mut ob, MEMBERS, |i| {
+        format!("exec |DEPT|(\"Toys\") hire (|PERSON|(\"q{i}\"))")
+    });
     eprintln!("allocations per hire line: {per_line:.1}");
     assert!(
         per_line <= BUDGET,
         "run_command(exec … hire) made {per_line:.1} allocations per line, budget {BUDGET}"
+    );
+}
+
+/// A whole `exec … fire` script line.
+#[test]
+fn fire_line_stays_within_its_allocation_budget() {
+    // measured 49.4
+    const BUDGET: f64 = 58.0;
+    let (mut ob, _) = department(MEMBERS + WARM + COUNTED);
+    let per_line = per_line(&mut ob, 0, |i| {
+        format!("exec |DEPT|(\"Toys\") fire (|PERSON|(\"q{i}\"))")
+    });
+    eprintln!("allocations per fire line: {per_line:.1}");
+    assert!(
+        per_line <= BUDGET,
+        "run_command(exec … fire) made {per_line:.1} allocations per line, budget {BUDGET}"
+    );
+}
+
+/// A whole `show` script line: reading the identity and the attribute.
+#[test]
+fn show_line_stays_within_its_allocation_budget() {
+    // measured 6.0
+    const BUDGET: f64 = 7.0;
+    let (mut ob, _) = department(MEMBERS);
+    let per_line = per_line(&mut ob, 0, |_| {
+        "show |DEPT|(\"Toys\") employees".to_string()
+    });
+    eprintln!("allocations per show line: {per_line:.1}");
+    assert!(
+        per_line <= BUDGET,
+        "run_command(show) made {per_line:.1} allocations per line, budget {BUDGET}"
     );
 }

@@ -23,6 +23,7 @@ const BASE_COUNTERS: &[&str] = &[
     "permissions.path.monitored",
     "permissions.path.scan",
     "permissions.refused",
+    "script.literal_fallbacks",
     "steps.committed",
     "steps.rolled_back",
     "store.appends",
@@ -131,6 +132,7 @@ birth DEPT ("Toys") establishment (date(1991,10,16))
 exec |DEPT|("Toys") hire (|PERSON|("ada"))
 exec |DEPT|("Toys") hire (|PERSON|("bob"))
 exec |DEPT|("Toys") fire (|PERSON|("ada"))
+show |DEPT|(if true then "Toys" else "") employees
 "#,
     )
     .expect("steps");

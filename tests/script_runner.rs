@@ -122,3 +122,43 @@ show |DEPT|("R--D") employees--no space before this comment
         r#"DEPT("R--D").employees = {PERSON("a--b")}"#
     );
 }
+
+#[test]
+fn literal_arguments_skip_the_parser_and_others_are_counted() {
+    let fallbacks = |ob: &ObjectBase| {
+        ob.metrics()
+            .snapshot()
+            .counters
+            .get("script.literal_fallbacks")
+            .copied()
+    };
+    let mut ob = base();
+    run_script(
+        &mut ob,
+        r#"
+birth DEPT ('Toys') establishment (date(1991, 10, 16))
+exec |DEPT|( "Toys" ) hire ( |PERSON|('ada') )
+show |DEPT|("Toys") employees
+obligations |DEPT|("Toys")
+"#,
+    )
+    .unwrap();
+    assert_eq!(fallbacks(&ob), None, "every argument above is a literal");
+
+    // a computed key goes to the parser and names the same identity
+    run_command(
+        &mut ob,
+        r#"exec |DEPT|("Toys") hire (|PERSON|(if true then "bob" else "x"))"#,
+    )
+    .unwrap();
+    assert_eq!(fallbacks(&ob), Some(1));
+    let err = run_command(&mut ob, r#"exec |DEPT|("Toys") hire (|PERSON|("cyd") +)"#).unwrap_err();
+    assert!(err.contains("expected an expression"), "{err}");
+    assert_eq!(fallbacks(&ob), Some(2));
+    match run_command(&mut ob, r#"show |DEPT|("Toys") employees"#).unwrap() {
+        Outcome::Observation { value, .. } => {
+            assert_eq!(value.to_string(), r#"{PERSON("ada"), PERSON("bob")}"#)
+        }
+        other => panic!("expected observation, got {other:?}"),
+    }
+}
