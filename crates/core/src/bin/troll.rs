@@ -58,8 +58,6 @@ commands:
   serve [--addr <ip:port>] [--workers N] [--durable <dir>] [--fsync <policy>]
         [--snapshot-every N] [--segment-bytes N] [--compact-after <bytes>]
         <file.troll>                           host many worlds of one spec over TCP
-  serve --selftest [--worlds N] [--conns N] [--events N] [--durable <dir>]
-        [<file.troll>]                         run the built-in load driver
   follow [--listen <ip:port>] [--poll-ms N] [--once] [--fsync <policy>]
          <addr> <dir>                          replicate a serve primary into <dir>
   compact [--dry-run] <dir>                    snapshot + prune a durable directory";
@@ -89,7 +87,6 @@ and print a summary line; torn or corrupt tail frames are skipped, not fatal
   --stats           print runtime metrics of the recovered world (includes store.* counters)
   --dump            print the recovered world state, one deterministic line per fact",
         Some("serve") => "usage: troll serve [--addr <ip:port>] [--workers N] [--durable <dir>] [--fsync <policy>] [--snapshot-every N] [--segment-bytes N] [--compact-after <bytes>] <file.troll>
-       troll serve --selftest [--worlds N] [--conns N] [--events N] [--durable <dir>] [<file.troll>]
 host many independent worlds of one specification in a single process, speaking a
 newline-delimited JSON protocol (open / submit-event / query-attr / query-view /
 stats / shutdown — send {\"op\":\"shutdown\"} to stop the server cleanly; durable
@@ -104,11 +101,7 @@ servers additionally answer repl-spec / repl-worlds / repl-poll for `troll follo
   --snapshot-every <N>  snapshot cadence per world (with --durable; default 1024)
   --segment-bytes <N>   WAL segment rotation cap per world (with --durable; default 4 MiB)
   --compact-after <bytes>  background-compact a world once it accrues this many WAL
-                    bytes past its newest snapshot (with --durable; jittered per world)
-  --selftest        spawn an in-process server and drive it with the built-in load
-                    generator, then print events/sec and the latency histogram
-                    (defaults to the shipped DEPT spec; TROLL_BENCH_SMOKE=1 shrinks it)
-  --worlds/--conns/--events   selftest load shape (default 1000 worlds x 100 events over 8 conns)",
+                    bytes past its newest snapshot (with --durable; jittered per world)",
         Some("follow") => "usage: troll follow [--listen <ip:port>] [--poll-ms N] [--once] [--fsync <policy>] <addr> <dir>
 tail a durable `troll serve` primary at <addr>: replay every world's committed log
 into <dir> (a valid --durable root — promote by pointing `troll serve --durable` or
@@ -576,7 +569,7 @@ fn cmd_recover(opts: &RecoverOpts) -> Result<(), String> {
 
 /// Parsed `troll serve` invocation.
 struct ServeCliOpts {
-    file: Option<String>,
+    file: String,
     addr: String,
     workers: Option<usize>,
     durable: Option<String>,
@@ -584,18 +577,14 @@ struct ServeCliOpts {
     snapshot_every: Option<u64>,
     segment_bytes: Option<u64>,
     compact_after: Option<u64>,
-    selftest: bool,
-    worlds: Option<usize>,
-    conns: Option<usize>,
-    events: Option<usize>,
 }
 
 impl ServeCliOpts {
-    /// Flags may appear anywhere around the one (optional with
-    /// `--selftest`) positional; `None` on any usage error.
+    /// Flags may appear anywhere around the one positional; `None` on
+    /// any usage error.
     fn parse(args: &[String]) -> Option<Self> {
         let mut opts = ServeCliOpts {
-            file: None,
+            file: String::new(),
             addr: "127.0.0.1:7877".to_string(),
             workers: None,
             durable: None,
@@ -603,10 +592,6 @@ impl ServeCliOpts {
             snapshot_every: None,
             segment_bytes: None,
             compact_after: None,
-            selftest: false,
-            worlds: None,
-            conns: None,
-            events: None,
         };
         let mut positional = Vec::new();
         let mut it = args.iter();
@@ -623,10 +608,6 @@ impl ServeCliOpts {
                 "--compact-after" => {
                     opts.compact_after = Some(it.next()?.parse::<u64>().ok().filter(|&n| n >= 1)?)
                 }
-                "--selftest" => opts.selftest = true,
-                "--worlds" => opts.worlds = Some(it.next()?.parse().ok().filter(|&n| n >= 1)?),
-                "--conns" => opts.conns = Some(it.next()?.parse().ok().filter(|&n| n >= 1)?),
-                "--events" => opts.events = Some(it.next()?.parse().ok()?),
                 s if s.starts_with('-') => return None,
                 _ => positional.push(a.clone()),
             }
@@ -639,16 +620,10 @@ impl ServeCliOpts {
         {
             return None;
         }
-        if !opts.selftest
-            && (opts.worlds.is_some() || opts.conns.is_some() || opts.events.is_some())
-        {
+        let [file] = positional.as_slice() else {
             return None;
-        }
-        match (positional.len(), opts.selftest) {
-            (1, _) => opts.file = positional.pop(),
-            (0, true) => {}
-            _ => return None,
-        }
+        };
+        opts.file = file.clone();
         Some(opts)
     }
 
@@ -673,38 +648,8 @@ impl ServeCliOpts {
 }
 
 fn cmd_serve(opts: &ServeCliOpts) -> Result<(), String> {
-    let source = match &opts.file {
-        Some(file) => std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?,
-        None => troll::specs::DEPT.to_string(),
-    };
-    if opts.selftest {
-        // TROLL_BENCH_SMOKE=1 shrinks the default load to CI size
-        let smoke = std::env::var("TROLL_BENCH_SMOKE").is_ok_and(|v| v == "1");
-        let mut cfg = troll::serve::LoadConfig {
-            opts: opts.serve_options(),
-            ..Default::default()
-        };
-        if smoke {
-            cfg.worlds = 8;
-            cfg.conns = 2;
-            cfg.events_per_world = 16;
-        }
-        if let Some(n) = opts.worlds {
-            cfg.worlds = n;
-        }
-        if let Some(n) = opts.conns {
-            cfg.conns = n;
-        }
-        if let Some(n) = opts.events {
-            cfg.events_per_world = n;
-        }
-        let report = troll::serve::run_load(&source, &cfg)?;
-        println!("{}", report.render());
-        if report.errors > 0 {
-            return Err(format!("{} error responses during selftest", report.errors));
-        }
-        return Ok(());
-    }
+    let file = &opts.file;
+    let source = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
     let server = troll::serve::Server::bind(opts.addr.as_str(), &source, opts.serve_options())
         .map_err(|e| e.to_string())?;
     let addr = server.local_addr().map_err(|e| e.to_string())?;

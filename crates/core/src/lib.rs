@@ -75,8 +75,8 @@ use std::fmt;
 use std::path::Path;
 
 /// The specification corpus shipped with the library: every worked
-/// example of the paper as a TROLL source, used by the examples, the
-/// integration tests and the benchmark harness.
+/// example of the paper as a TROLL source, used by the examples and the
+/// integration tests.
 pub mod specs {
     /// §4 — the `DEPT` object class (quickstart; experiment E3).
     pub const DEPT: &str = include_str!("../../../specs/dept.troll");
@@ -96,8 +96,7 @@ pub mod specs {
     /// §6.1 — the shared system clock with time-triggered activities.
     pub const CLOCK: &str = include_str!("../../../specs/clock.troll");
 
-    /// Every shipped spec with its name (for corpus-wide tests and the
-    /// parser benchmark E9).
+    /// Every shipped spec with its name, for corpus-wide tests (E9).
     pub const ALL: &[(&str, &str)] = &[
         ("dept", DEPT),
         ("company", COMPANY),
@@ -290,5 +289,135 @@ mod tests {
             System::load_str("object class Broken").unwrap_err(),
             TrollError::Lang(_)
         ));
+    }
+
+    /// Adds template `child` specializing `parent` to `schema`.
+    fn specialize(schema: &mut kernel::InheritanceSchema, child: String, parent: String) {
+        let morphism = kernel::TemplateMorphism::identity_on(format!("m_{child}"), &child, parent);
+        schema
+            .add_specialization(kernel::Template::named(child), morphism)
+            .unwrap();
+    }
+
+    /// A linear chain `t0 ← t1 ← … ← t9`: the deepest template's
+    /// ancestor closure holds every other one.
+    #[test]
+    fn chain_schema_builds() {
+        let mut schema = kernel::InheritanceSchema::new();
+        schema.add_template(kernel::Template::named("t0")).unwrap();
+        for i in 1..10 {
+            specialize(&mut schema, format!("t{i}"), format!("t{}", i - 1));
+        }
+        assert_eq!(schema.len(), 10);
+        assert_eq!(schema.ancestors("t9").len(), 9);
+    }
+
+    /// A binary specialization tree of depth 3 (Example 3.2's shape,
+    /// scaled): node `n` specializes into `2n` and `2n + 1`.
+    #[test]
+    fn tree_schema_builds() {
+        let mut schema = kernel::InheritanceSchema::new();
+        schema.add_template(kernel::Template::named("n1")).unwrap();
+        for child in 2..16 {
+            specialize(&mut schema, format!("n{child}"), format!("n{}", child / 2));
+        }
+        assert_eq!(schema.len(), 1 + 2 + 4 + 8);
+        assert_eq!(schema.ancestors("n15").len(), 3);
+    }
+
+    fn person(key: &str) -> data::Value {
+        data::Value::Id(data::ObjectId::new("PERSON", vec![data::Value::from(key)]))
+    }
+
+    /// Three departments with five hires each.
+    #[test]
+    fn dept_base_builds() {
+        let mut ob = System::load_str(specs::DEPT)
+            .unwrap()
+            .object_base()
+            .unwrap();
+        let date = data::Value::Date(data::Date::new(1991, 10, 16).unwrap());
+        let mut depts = Vec::new();
+        for d in 0..3 {
+            let id = ob
+                .birth(
+                    "DEPT",
+                    vec![data::Value::from(format!("d{d}"))],
+                    "establishment",
+                    vec![date.clone()],
+                )
+                .unwrap();
+            for p in 0..5 {
+                ob.execute(&id, "hire", vec![person(&format!("p{p}"))])
+                    .unwrap();
+            }
+            depts.push(id);
+        }
+        assert_eq!(ob.class_card("DEPT"), 3);
+        let employees = ob.attribute(&depts[0], "employees").unwrap();
+        assert_eq!(employees.as_set().unwrap().len(), 5);
+    }
+
+    /// Nine persons and a department employing every third one: the
+    /// `WORKS_FOR` view has one row per employment.
+    #[test]
+    fn views_base_builds() {
+        let mut ob = System::load_str(specs::VIEWS)
+            .unwrap()
+            .object_base()
+            .unwrap();
+        for i in 0..9 {
+            let dept = if i % 2 == 0 { "Research" } else { "Sales" };
+            let salary = data::Value::Money(data::Money::from_major(1000 + i));
+            ob.birth(
+                "PERSON",
+                vec![data::Value::from(format!("p{i}"))],
+                "create",
+                vec![salary, data::Value::from(dept)],
+            )
+            .unwrap();
+        }
+        let research = ob
+            .birth(
+                "DEPT",
+                vec![data::Value::from("R")],
+                "establishment",
+                vec![],
+            )
+            .unwrap();
+        for i in (0..9).step_by(3) {
+            ob.execute(&research, "hire", vec![person(&format!("p{i}"))])
+                .unwrap();
+        }
+        assert_eq!(ob.class_card("PERSON"), 9);
+        assert_eq!(ob.view("WORKS_FOR").unwrap().len(), 3);
+    }
+
+    /// A source of four generated DEPT-like classes loads as four classes.
+    #[test]
+    fn synthetic_spec_parses() {
+        let source: String = (0..4)
+            .map(|i| {
+                format!(
+                    "object class DEPT{i}
+  identification id: string;
+  template
+    attributes employees: set(|PERSON|);
+    events birth establishment; hire(|PERSON|); fire(|PERSON|);
+    valuation
+      variables P: |PERSON|;
+      [establishment] employees = {{}};
+      [hire(P)] employees = insert(P, employees);
+      [fire(P)] employees = remove(P, employees);
+    permissions
+      variables P: |PERSON|;
+      {{ sometime(after(hire(P))) }} fire(P);
+end object class DEPT{i};
+"
+                )
+            })
+            .collect();
+        let system = System::load_str(&source).unwrap();
+        assert_eq!(system.model().classes.len(), 4);
     }
 }

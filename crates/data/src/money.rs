@@ -148,7 +148,11 @@ impl FromStr for Money {
             let padded = format!("{frac:0<2}");
             padded.parse().map_err(|_| bad())?
         };
-        Ok(Money(sign * (units * 100 + cents)))
+        units
+            .checked_mul(100)
+            .and_then(|c| c.checked_add(cents))
+            .map(|c| Money(sign * c))
+            .ok_or_else(|| DataError::Overflow(format!("money literal `{s}`")))
     }
 }
 
@@ -182,6 +186,29 @@ mod tests {
         assert!("12.345".parse::<Money>().is_err());
         assert!("abc".parse::<Money>().is_err());
         assert!(".5".parse::<Money>().is_err());
+    }
+
+    #[test]
+    fn parsing_out_of_range_is_an_error_not_a_wrap() {
+        // the largest and smallest amounts an i64 of cents holds
+        assert_eq!(
+            "92233720368547758.07".parse::<Money>().unwrap(),
+            Money::from_cents(i64::MAX)
+        );
+        assert_eq!(
+            "-92233720368547758.07".parse::<Money>().unwrap(),
+            Money::from_cents(-i64::MAX)
+        );
+        for text in [
+            "99999999999999999.5",
+            "92233720368547758.08",
+            "-92233720368547758.09",
+        ] {
+            assert!(
+                matches!(text.parse::<Money>(), Err(DataError::Overflow(_))),
+                "{text}"
+            );
+        }
     }
 
     #[test]

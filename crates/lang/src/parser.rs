@@ -1470,14 +1470,14 @@ impl Parser {
                     self.advance();
                     self.expect(&TokenKind::LParen)?;
                     let (l, c) = (self.peek().line, self.peek().column);
-                    let y = self.int_literal()?;
+                    let y = self.date_part("year")?;
                     self.expect(&TokenKind::Comma)?;
-                    let m = self.int_literal()?;
+                    let m = self.date_part("month")?;
                     self.expect(&TokenKind::Comma)?;
-                    let d = self.int_literal()?;
+                    let d = self.date_part("day")?;
                     self.expect(&TokenKind::RParen)?;
-                    let date = Date::new(y as i32, m as u8, d as u8)
-                        .map_err(|e| LangError::new(l, c, e.to_string()))?;
+                    let date =
+                        Date::new(y, m, d).map_err(|e| LangError::new(l, c, e.to_string()))?;
                     Ok(Term::constant(Value::Date(date)))
                 }
                 _ => {
@@ -1534,6 +1534,14 @@ impl Parser {
             }
             _ => self.err("expected an integer literal"),
         }
+    }
+
+    /// One integer part of `date(y, m, d)`, which must fit `T`; the
+    /// error names the part instead of truncating it into range.
+    fn date_part<T: TryFrom<i64>>(&mut self, part: &str) -> Result<T> {
+        let (l, c) = (self.peek().line, self.peek().column);
+        let n = self.int_literal()?;
+        T::try_from(n).map_err(|_| LangError::new(l, c, format!("date {part} {n} is out of range")))
     }
 }
 
@@ -1623,6 +1631,22 @@ mod tests {
             Term::constant(Value::Date(Date::new(1991, 10, 16).unwrap()))
         );
         assert!(parse_term("date(1991, 13, 1)").is_err());
+    }
+
+    #[test]
+    fn date_parts_out_of_range_are_errors_not_truncated() {
+        // 266 and 272 would truncate to the valid 10 and 16 as bytes
+        for (text, part) in [
+            ("date(1991, 266, 16)", "month 266"),
+            ("date(1991, 10, 272)", "day 272"),
+            ("date(4294969287, 10, 16)", "year 4294969287"),
+        ] {
+            let err = parse_term(text).unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("date {part} is out of range")),
+                "{text}: {err}"
+            );
+        }
     }
 
     #[test]

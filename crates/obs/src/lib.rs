@@ -9,7 +9,7 @@
 //! systems argument of Estrella et al.).
 //!
 //! Three pieces, all hermetic (no external dependencies, mirroring the
-//! in-repo proptest/rand/criterion shims):
+//! in-repo proptest/rand shims):
 //!
 //! * [`Observer`] — span-style enter/exit hooks plus typed events
 //!   ([`ObsEvent`]): `StepStarted`, `PermissionChecked` (monitored or
@@ -17,7 +17,7 @@
 //!   `StepRolledBack`, `MonitorFed`. The [`NoopObserver`] default
 //!   reports itself disabled so instrumented code can skip event
 //!   construction entirely — the disabled cost is a predicted branch
-//!   (measured ≈0 in `e10_obs_overhead`).
+//!   (measured ≈0, EXPERIMENTS.md E10).
 //! * [`Metrics`] — a lock-free-enough registry of named [`Counter`]s
 //!   (relaxed atomics) and fixed-bucket latency [`Histogram`]s
 //!   (power-of-two nanosecond buckets, p50/p90/p99 summaries).

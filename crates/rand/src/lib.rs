@@ -4,7 +4,7 @@
 //! no registry is reachable — so the real crate cannot be resolved.
 //!
 //! `StdRng` here is SplitMix64: deterministic, seedable, and plenty for
-//! scenario generation and benchmarks. It is NOT cryptographically
+//! scenario generation in tests. It is NOT cryptographically
 //! secure (the real `StdRng` is ChaCha-based); nothing in this
 //! workspace needs that property.
 

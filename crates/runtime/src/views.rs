@@ -95,8 +95,8 @@ impl ObjectBase {
     }
 
     /// Evaluates an interface with an explicit join strategy. Both
-    /// strategies produce identical rows; `Naive` exists for the
-    /// decision-3 ablation benchmark and as the reference semantics.
+    /// strategies produce identical rows; `Naive` is the reference
+    /// semantics (and the baseline of DESIGN.md decision 3's ablation).
     ///
     /// # Errors
     ///

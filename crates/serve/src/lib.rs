@@ -17,9 +17,6 @@
 //! The response `text` for a script line is byte-for-byte what
 //! `troll animate` prints for the same line — the server is
 //! observationally a remote animator, times N worlds.
-//!
-//! [`selftest`] is a zero-dependency load driver used by
-//! `troll serve --selftest` and CI.
 
 #![deny(unsafe_code)] // except the epoll syscall shims in `poll`
 #![warn(missing_docs)]
@@ -27,9 +24,7 @@
 pub mod json;
 pub mod poll;
 pub mod proto;
-pub mod selftest;
 pub mod server;
 
 pub use proto::{Request, Response, MAX_LINE};
-pub use selftest::{run_load, LoadConfig, LoadReport};
 pub use server::{ReplCounters, Replica, ServeOptions, ServeSummary, Server, SpawnedServer};

@@ -303,8 +303,7 @@ impl Formula {
         }
     }
 
-    /// Number of syntactic nodes (used by the benchmarks to report
-    /// formula sizes).
+    /// Number of syntactic nodes.
     pub fn size(&self) -> usize {
         match self {
             Formula::Pred(_) | Formula::Occurs(_) | Formula::After(_) => 1,

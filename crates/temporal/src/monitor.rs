@@ -10,8 +10,8 @@
 //! **rigid** pattern arguments (the argument terms must evaluate to the
 //! same values at every step — e.g. permission parameters). Formulas
 //! outside the fragment are rejected at construction; callers fall back
-//! to the reference evaluator. DESIGN.md decision 2 benchmarks the two
-//! against each other (`bench_permission_check`). Formulas with one
+//! to the reference evaluator. DESIGN.md decision 2 compares the two
+//! (EXPERIMENTS.md E3). Formulas with one
 //! parameter or one top-level quantifier have a monitor for every value
 //! at once: [`crate::SlicedMonitor`].
 

@@ -12,6 +12,11 @@
 //! The budgets hold for the shipped engine: bytecode rules
 //! (`Lowering::Delta`, what `ObjectBase::new` builds) over structurally
 //! shared state, the only representation `StateMap` has.
+//!
+//! Three shapes are checked as counts too, on any host: a step's
+//! allocations barely grow from 4 to 2 048 members or from 4 to 256
+//! attributes, and a history of thousands of hire/fire cycles never
+//! sends a permission check to the history scan.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -183,4 +188,132 @@ fn show_line_stays_within_its_allocation_budget() {
         per_line <= BUDGET,
         "run_command(show) made {per_line:.1} allocations per line, budget {BUDGET}"
     );
+}
+
+/// Mean allocations per `hire` and per `fire` on a DEPT standing at
+/// `members`: each round hires a fresh person and fires them again, so
+/// the member set stays at `members` while the history grows.
+fn hire_fire_allocations(members: usize) -> (f64, f64) {
+    let (mut ob, toys) = department(members);
+    let mut round = |i: usize| {
+        let (hire, fire) = (vec![person(1_000_000 + i)], vec![person(1_000_000 + i)]);
+        let hired = allocations(|| {
+            ob.execute(&toys, "hire", hire).unwrap();
+        });
+        let fired = allocations(|| {
+            ob.execute(&toys, "fire", fire).unwrap();
+        });
+        (hired, fired)
+    };
+    for i in 0..WARM {
+        round(i);
+    }
+    let (mut hires, mut fires) = (0, 0);
+    for i in WARM..WARM + COUNTED {
+        let (hired, fired) = round(i);
+        hires += hired;
+        fires += fired;
+    }
+    (mean(hires), mean(fires))
+}
+
+/// A step's cost is flat in the size of the collections it updates:
+/// `insert`/`remove` on the persistent member sets copy one tree path,
+/// so growing the department 512-fold adds only that path's depth.
+#[test]
+fn hire_and_fire_allocations_stay_flat_in_membership() {
+    // measured hire 49.2 → 60.2, fire 33.0 → 40.0
+    const GROWTH: f64 = 1.25;
+    let (hire_small, fire_small) = hire_fire_allocations(4);
+    let (hire_wide, fire_wide) = hire_fire_allocations(2048);
+    eprintln!("allocations per hire {hire_small:.1} → {hire_wide:.1}, per fire {fire_small:.1} → {fire_wide:.1}");
+    assert!(
+        hire_wide <= GROWTH * hire_small,
+        "hire made {hire_wide:.1} allocations at 2048 members against {hire_small:.1} at 4"
+    );
+    assert!(
+        fire_wide <= GROWTH * fire_small,
+        "fire made {fire_wide:.1} allocations at 2048 members against {fire_small:.1} at 4"
+    );
+}
+
+/// A one-class spec whose state map holds `counter` and `width` more
+/// (never set) integer attributes, born once.
+fn wide_counter(width: usize) -> (ObjectBase, ObjectId) {
+    let attrs: String = (0..width).map(|i| format!("a{i}: int; ")).collect();
+    let spec = format!(
+        "object class WIDE
+  identification id: string;
+  template
+    attributes counter: int; {attrs}
+    events birth create; bump;
+    valuation
+      [create] counter = 0;
+      [bump] counter = counter + 1;
+end object class WIDE;"
+    );
+    let mut ob = troll::System::load_str(&spec)
+        .unwrap()
+        .object_base()
+        .unwrap();
+    let wide = ob
+        .birth("WIDE", vec![Value::from("w")], "create", vec![])
+        .unwrap();
+    (ob, wide)
+}
+
+/// Every step snapshots the whole attribute map into the trace; with
+/// structurally shared state that costs one path copy, so a 64-fold
+/// wider map adds only the path's depth to a one-attribute update.
+#[test]
+fn bump_allocations_stay_flat_in_attribute_width() {
+    // measured 18.0 at 4 attributes, 24.0 at 256
+    const GROWTH: f64 = 1.5;
+    let per_bump = |width| {
+        let (mut ob, wide) = wide_counter(width);
+        for _ in 0..WARM {
+            ob.execute(&wide, "bump", vec![]).unwrap();
+        }
+        let total = (0..COUNTED)
+            .map(|_| allocations(|| drop(ob.execute(&wide, "bump", vec![]).unwrap())))
+            .sum();
+        mean(total)
+    };
+    let (narrow, wide) = (per_bump(4), per_bump(256));
+    eprintln!("allocations per bump: {narrow:.1} at 4 attributes, {wide:.1} at 256");
+    assert!(
+        wide <= GROWTH * narrow,
+        "bump made {wide:.1} allocations at 256 attributes against {narrow:.1} at 4"
+    );
+}
+
+/// However long the history, every `fire` permission is answered by its
+/// sliced monitor and never by a history scan, and so is the quantified
+/// `closure` permission over everyone ever hired.
+#[test]
+fn deep_history_checks_never_fall_back_to_a_scan() {
+    for cycles in [8, 4096] {
+        let (mut ob, toys) = department(0);
+        for _ in 0..cycles {
+            ob.execute(&toys, "hire", vec![person(0)]).unwrap();
+            ob.execute(&toys, "fire", vec![person(0)]).unwrap();
+        }
+        let before = ob.monitor_cache_stats();
+        for i in 0..COUNTED {
+            ob.execute(&toys, "hire", vec![person(i)]).unwrap();
+            ob.execute(&toys, "fire", vec![person(i)]).unwrap();
+        }
+        let after = ob.monitor_cache_stats();
+        assert_eq!(after.fallbacks, 0, "{cycles} cycles: {after}");
+        assert!(
+            after.hits >= before.hits + COUNTED as u64,
+            "{cycles} cycles: {COUNTED} fires moved the hits from {before} to {after}"
+        );
+        ob.execute(&toys, "closure", vec![]).unwrap();
+        assert_eq!(
+            ob.monitor_cache_stats().fallbacks,
+            0,
+            "{cycles} cycles: closure"
+        );
+    }
 }

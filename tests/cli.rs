@@ -684,6 +684,8 @@ fn compact_and_follow_exit_code_discipline() {
         Some(2),
         "--compact-after needs --durable"
     );
+    let out = run(&["serve"]);
+    assert_eq!(out.status.code(), Some(2), "serve needs its spec file");
 
     // runtime errors: compacting nothing, following a dead primary
     let dir = scratch("compact-missing.dir");

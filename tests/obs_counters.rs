@@ -7,17 +7,26 @@
 //! identical across modes, while `permissions.path.monitored`/`.scan`
 //! record which evaluator answered.
 
-use troll::data::{Date, Value};
+use std::sync::Arc;
+use troll::data::{Date, ObjectId, Value};
+use troll::obs::{Fanout, ObsEvent, Observer, Recorder, TraceWriter};
 use troll::runtime::MetricsSnapshot;
-use troll_bench::person;
+
+fn person(i: usize) -> Value {
+    Value::Id(ObjectId::new("PERSON", vec![Value::from(format!("p{i}"))]))
+}
 
 /// Runs a fixed workload mixing granted hires/fires with refused fires
 /// and returns the run's metrics snapshot. The cache mode is set before
-/// the first event so every check in the run is attributed to it.
-fn run_scenario(cache_on: bool) -> MetricsSnapshot {
+/// the first event so every check in the run is attributed to it; an
+/// `observer`, when given, sees every step from the birth on.
+fn run_scenario(cache_on: bool, observer: Option<Arc<dyn Observer>>) -> MetricsSnapshot {
     let system = troll::System::load_str(troll::specs::DEPT).expect("shipped spec loads");
     let mut ob = system.object_base().expect("object base");
     ob.set_monitor_cache_enabled(cache_on);
+    if let Some(observer) = observer {
+        ob.set_observer(observer);
+    }
     let dept = ob
         .birth(
             "DEPT",
@@ -40,8 +49,8 @@ fn run_scenario(cache_on: bool) -> MetricsSnapshot {
 
 #[test]
 fn monitored_and_scan_paths_agree_on_grant_refusal_totals() {
-    let monitored = run_scenario(true);
-    let scan = run_scenario(false);
+    let monitored = run_scenario(true, None);
+    let scan = run_scenario(false, None);
 
     for key in [
         "permissions.granted",
@@ -94,14 +103,50 @@ fn monitored_and_scan_paths_agree_on_grant_refusal_totals() {
     }
 }
 
+/// One latency sample per step, and — with an in-memory `Recorder` and
+/// a JSON-lines `TraceWriter` attached through a `Fanout` — one
+/// `step_started` per attempt and one `step_committed` or
+/// `step_rolled_back` per outcome in both sinks.
 #[test]
 fn step_latency_histogram_records_every_step() {
-    let snap = run_scenario(true);
+    let recorder = Arc::new(Recorder::new());
+    let writer = Arc::new(TraceWriter::new(Vec::new()));
+    let fanout = Fanout::new(vec![recorder.clone(), writer.clone()]);
+    let snap = run_scenario(true, Some(Arc::new(fanout)));
+    let committed = snap.counters["steps.committed"];
+    let rolled_back = snap.counters["steps.rolled_back"];
     let h = &snap.histograms["step.latency_ns"];
     assert_eq!(
         h.count,
-        snap.counters["steps.committed"] + snap.counters["steps.rolled_back"],
+        committed + rolled_back,
         "one latency sample per step, committed or not"
     );
     assert!(h.p50_ns > 0 && h.p99_ns >= h.p50_ns);
+
+    let recorded = |kind: &str| recorder.count(|e| e.kind() == kind) as u64;
+    assert_eq!(recorded("step_started"), committed + rolled_back);
+    assert_eq!(recorded("step_committed"), committed);
+    assert_eq!(recorded("step_rolled_back"), rolled_back);
+    assert!(rolled_back > 0, "the refused fires reached the observer");
+    for event in recorder.events() {
+        if let ObsEvent::StepRolledBack { reason, .. } = event {
+            assert!(!reason.is_empty(), "a rollback names its reason");
+        }
+    }
+
+    // the run dropped its base, so the test holds the last reference
+    let writer = Arc::try_unwrap(writer).expect("the base released the writer");
+    assert_eq!(writer.write_errors(), 0);
+    let trace = String::from_utf8(writer.into_inner()).expect("trace is utf-8");
+    let traced = |kind: &str| {
+        let tag = format!("{{\"ev\":\"{kind}\"");
+        trace.lines().filter(|l| l.starts_with(&tag)).count() as u64
+    };
+    assert_eq!(traced("step_committed"), committed);
+    assert_eq!(traced("step_rolled_back"), rolled_back);
+    assert_eq!(
+        trace.lines().count(),
+        recorder.events().len(),
+        "both sinks saw the same events"
+    );
 }

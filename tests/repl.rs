@@ -101,7 +101,9 @@ fn drive(client: &mut Client, world: &str, script: &str) -> usize {
     lines
 }
 
-fn assert_same_dir(what: &str, primary: &Path, follower: &Path) {
+/// Asserts the follower's directory re-derived the primary's; returns
+/// the primary's step count.
+fn assert_same_dir(what: &str, primary: &Path, follower: &Path) -> usize {
     let (p_world, _) = recover(primary).expect("recover primary");
     let (f_world, _) = recover(follower).expect("recover follower");
     assert_eq!(
@@ -125,6 +127,7 @@ fn assert_same_dir(what: &str, primary: &Path, follower: &Path) {
             "{what}: the re-derived WAL is not byte-identical"
         );
     }
+    p_world.steps_executed()
 }
 
 /// The oracle: for every shipped spec, run the durability workload on a
@@ -158,16 +161,18 @@ fn follower_converges_on_every_spec() {
         )
         .unwrap_or_else(|e| panic!("{name}: follow failed: {e}"));
         assert_eq!(summary.worlds, 1, "{name}");
-        assert!(summary.records_applied > 0, "{name}");
         assert!(!summary.primary_lost, "{name}");
 
         client.shutdown();
         spawned.join.join().unwrap().unwrap();
-        assert_same_dir(
+        let steps = assert_same_dir(
             name,
             &primary_dir.join("worlds/w"),
             &follower_dir.join("worlds/w"),
         );
+        // one record per committed step, none skipped or applied twice
+        assert!(steps > 0, "{name}");
+        assert_eq!(summary.records_applied, steps as u64, "{name}");
         let _ = fs::remove_dir_all(&primary_dir);
         let _ = fs::remove_dir_all(&follower_dir);
     }

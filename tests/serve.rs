@@ -8,7 +8,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 use troll::runtime::ObjectBase;
 use troll::script::{query as query_world, run_command, run_script, Query};
-use troll::serve::{LoadConfig, Request, Response, ServeOptions, Server};
+use troll::serve::{Request, Response, ServeOptions, Server};
 use troll::store::StoreOptions;
 use troll::System;
 
@@ -430,21 +430,62 @@ fn stalled_client_does_not_block_other_worlds() {
     spawned.join.join().unwrap().unwrap();
 }
 
-/// The load driver hosts ≥1k worlds in one process and every response
-/// is a success.
+/// One process hosts 1 000 worlds driven over 4 pipelined connections,
+/// and every response is a success.
 #[test]
 fn one_thousand_worlds() {
-    let cfg = LoadConfig {
-        worlds: 1000,
-        conns: 4,
-        events_per_world: 2,
-        ..Default::default()
-    };
-    let report = troll::serve::run_load(troll::specs::DEPT, &cfg).expect("load run");
-    assert_eq!(report.errors, 0);
-    assert_eq!(report.summary.worlds, 1000);
-    assert_eq!(report.summary.commits, 3000); // 1 birth + 2 hires each
-    assert!(report.latency.count >= report.total_events);
+    const WORLDS: usize = 1000;
+    const CONNS: usize = 4;
+    const WINDOW: usize = 64;
+    let spawned = spawn_server(ServeOptions::default());
+    let errors: usize = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..CONNS)
+            .map(|c| {
+                scope.spawn(move || {
+                    // each connection opens its own worlds, births each,
+                    // then hires twice round-robin across them
+                    let worlds: Vec<String> = (c..WORLDS)
+                        .step_by(CONNS)
+                        .map(|w| format!("w{w:04}"))
+                        .collect();
+                    let mut requests = Vec::new();
+                    for w in &worlds {
+                        requests.push(Request::Open { world: w.clone() });
+                        requests.push(submit(
+                            w,
+                            &format!(r#"birth DEPT ("{w}") establishment (date(1991,10,16))"#),
+                        ));
+                    }
+                    for i in 0..2 {
+                        for w in &worlds {
+                            let hire = format!(r#"exec |DEPT|("{w}") hire (|PERSON|("p{i}"))"#);
+                            requests.push(submit(w, &hire));
+                        }
+                    }
+                    let mut client = Client::connect(spawned.addr);
+                    let mut errors = 0;
+                    for window in requests.chunks(WINDOW) {
+                        window.iter().for_each(|req| client.send(req));
+                        for _ in window {
+                            if let Response::Err(_) = client.recv() {
+                                errors += 1;
+                            }
+                        }
+                    }
+                    errors
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).sum()
+    });
+    Client::connect(spawned.addr).shutdown();
+    let summary = spawned.join.join().unwrap().unwrap();
+    assert_eq!(errors, 0);
+    assert_eq!(summary.worlds, 1000);
+    assert_eq!(summary.commits, 3000); // 1 birth + 2 hires each
+    assert_eq!(summary.events, 3000);
+    // the server timed every request it routed to a world
+    assert!(summary.request_latency.count >= summary.events);
 }
 
 /// `--durable` worlds survive a full server restart: the second server
